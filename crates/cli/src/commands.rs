@@ -64,9 +64,10 @@ COMMANDS
             --profile P --in FILE --key K --message M [--bits N]
             [--gamma G] [--redundancy R] [--workers W]
             --out FILE --queries FILE
-            single-pass streaming embed: O(record) memory at --workers 1,
-            parallel record chunking at --workers > 1; output bytes are
-            identical to the DOM engine's compact serialization
+            single-pass streaming embed; --workers W (default 1) works
+            batches of records on W threads while the input streams, in
+            bounded memory at every W; output bytes are identical to the
+            DOM engine's compact serialization at every W
   stream-detect
             --profile P --in FILE --key K --message M [--bits N]
             [--gamma G] [--redundancy R] [--threshold T] [--workers W]
@@ -74,7 +75,9 @@ COMMANDS
             single-pass detection without a query file (the key + profile
             re-derive the marked units); exit codes as for detect; with
             --forensics a truncated or garbled stream yields a partial
-            verdict over the salvaged records instead of an error
+            verdict over the salvaged records instead of an error;
+            --workers W as for stream-embed, with the same verdict at
+            every W
   attack    --in FILE --kind alteration|reduction|shuffle|redundancy
             [--intensity X] [--seed S] [--profile P] --out FILE
             apply a demo attack
@@ -467,40 +470,31 @@ fn cmd_stream_embed(args: &Args) -> Result<i32, String> {
     };
 
     let embed_span = span("stream_embed");
-    let report = if workers > 1 {
-        let text =
-            fs::read_to_string(in_path).map_err(|e| format!("cannot read {in_path}: {e}"))?;
-        let (marked, report) = wmx_stream::par_embed(&text, workers, ctx, &key, &watermark)
-            .map_err(|e| format!("streaming embed failed: {e}"))?;
-        write_file(out_path, &marked)?;
-        report
-    } else {
-        // Stream into a sibling temp file and rename on success, so a
-        // failed run never clobbers an existing output file.
-        let tmp_path = format!("{out_path}.tmp");
-        let input = fs::File::open(in_path).map_err(|e| format!("cannot read {in_path}: {e}"))?;
-        let output =
-            fs::File::create(&tmp_path).map_err(|e| format!("cannot write {tmp_path}: {e}"))?;
-        let result = wmx_stream::stream_embed(
-            std::io::BufReader::new(input),
-            std::io::BufWriter::new(output),
-            ctx,
-            &key,
-            &watermark,
-        );
-        match result {
-            Ok(report) => {
-                fs::rename(&tmp_path, out_path)
-                    .map_err(|e| format!("cannot move {tmp_path} to {out_path}: {e}"))?;
-                report
-            }
-            Err(e) => {
-                let _ = fs::remove_file(&tmp_path);
-                return Err(format!("streaming embed failed: {e}"));
-            }
+    // Stream into a sibling temp file and rename on success, so a
+    // failed run never leaves a partial output or clobbers an old one.
+    let tmp_path = format!("{out_path}.tmp");
+    let input = fs::File::open(in_path).map_err(|e| format!("cannot read {in_path}: {e}"))?;
+    let output =
+        fs::File::create(&tmp_path).map_err(|e| format!("cannot write {tmp_path}: {e}"))?;
+    let result = wmx_stream::embed(
+        std::io::BufReader::new(input),
+        std::io::BufWriter::new(output),
+        workers,
+        ctx,
+        &key,
+        &watermark,
+    );
+    let report = match result {
+        Ok(report) => {
+            fs::rename(&tmp_path, out_path)
+                .map_err(|e| format!("cannot move {tmp_path} to {out_path}: {e}"))?;
+            report
+        }
+        Err(e) => {
+            let _ = fs::remove_file(&tmp_path);
+            return Err(format!("streaming embed failed: {e}"));
         }
     };
-
     drop(embed_span);
 
     write_file(queries_path, &queryfile::to_string(&report.report.queries))?;
@@ -558,25 +552,17 @@ fn cmd_stream_detect(args: &Args) -> Result<i32, String> {
     };
 
     let detect_span = span("stream_detect");
-    let detection = if workers > 1 {
-        let text =
-            fs::read_to_string(in_path).map_err(|e| format!("cannot read {in_path}: {e}"))?;
-        if mode == ForensicsMode::Off {
-            wmx_stream::par_detect(&text, workers, ctx, &key, &watermark, threshold)
-        } else {
-            wmx_stream::par_detect_forensic(&text, workers, ctx, &key, &watermark, threshold)
-        }
-        .map_err(|e| format!("streaming detect failed: {e}"))?
-    } else {
-        let input = fs::File::open(in_path).map_err(|e| format!("cannot read {in_path}: {e}"))?;
-        let reader = std::io::BufReader::new(input);
-        if mode == ForensicsMode::Off {
-            wmx_stream::stream_detect(reader, ctx, &key, &watermark, threshold)
-        } else {
-            wmx_stream::stream_detect_forensic(reader, ctx, &key, &watermark, threshold)
-        }
-        .map_err(|e| format!("streaming detect failed: {e}"))?
-    };
+    let input = fs::File::open(in_path).map_err(|e| format!("cannot read {in_path}: {e}"))?;
+    let detection = wmx_stream::detect(
+        std::io::BufReader::new(input),
+        workers,
+        ctx,
+        &key,
+        &watermark,
+        threshold,
+        mode != ForensicsMode::Off,
+    )
+    .map_err(|e| format!("streaming detect failed: {e}"))?;
     drop(detect_span);
 
     let report = &detection.report;

@@ -14,7 +14,7 @@
 //! record (and every worker thread): the plan is fetched from the
 //! process-wide [`wmx_core::PlanCache`], so repeated streams over the
 //! same schema reuse one compiled plan, its interned selection
-//! vocabulary lets [`wmx_core::UnitKey`]s from different records/chunks
+//! vocabulary lets [`wmx_core::UnitKey`]s from different records/batches
 //! compare and merge directly, record mini-documents are parsed from a
 //! clone of a seeded prototype [`Interner`] (root + binding vocabulary)
 //! so their symbol ids stay stable across the whole stream, and identity
@@ -22,12 +22,13 @@
 //! builds none at all. Per-record work does no name lookups and parses
 //! no queries: every access step was resolved at plan compile time.
 
-use crate::report::{PartialDetect, PartialEmbed};
+use crate::report::{MarkedQuery, PartialDetect, PartialEmbed};
 use crate::{StreamContext, StreamError};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use wmx_core::{
-    global_plan_cache, DomNodes, DomNodesMut, SelectionPlan, UnitMarker, UnitTag, Watermark,
+    global_plan_cache, DomNodes, DomNodesMut, MarkUnit, SelectionPlan, StoredQuery, UnitMarker,
+    UnitTag, Watermark,
 };
 use wmx_crypto::SecretKey;
 use wmx_rewrite::binding::AttrBinding;
@@ -45,7 +46,7 @@ pub(crate) struct RecordEngine<'a> {
     watermark: Watermark,
     root_open: String,
     root_close: String,
-    /// Compiled selection plan shared across records, chunks, and worker
+    /// Compiled selection plan shared across records, batches, and worker
     /// threads (and, through the global cache, across streams with the
     /// same schema). Pre-resolved symbols and pre-compiled access steps
     /// mean per-record execution never touches an interner or a parser.
@@ -190,30 +191,19 @@ impl<'a> RecordEngine<'a> {
             .map_err(StreamError::Xml)
     }
 
-    /// Embeds into one record; returns the record's serialized bytes.
-    pub fn embed_record(
-        &self,
-        record_raw: &str,
-        partial: &mut PartialEmbed,
-    ) -> Result<String, StreamError> {
-        let mut out = String::new();
-        self.embed_record_into(record_raw, partial, &mut out)?;
-        Ok(out)
-    }
-
-    /// Buffer-reuse twin of [`RecordEngine::embed_record`]: appends the
-    /// record's serialized bytes to `out` so the sequential driver can
-    /// recycle one output allocation across all records.
+    /// Embeds into the record with stream index `index`, appending the
+    /// record's serialized bytes to `out`.
     pub fn embed_record_into(
         &self,
         record_raw: &str,
+        index: usize,
         partial: &mut PartialEmbed,
         out: &mut String,
     ) -> Result<(), StreamError> {
         let mut mini = self.mini_doc(record_raw)?;
         let units = self.plan.execute(&mini);
         let table = self.plan.table();
-        for unit in units {
+        for mut unit in units {
             let is_fd = unit.key.tag == UnitTag::FdGroup;
             let selected = self
                 .marker
@@ -221,7 +211,7 @@ impl<'a> RecordEngine<'a> {
             if is_fd {
                 // One map entry per FD group carries total/selected/
                 // marked flags — the key is cloned at most once per
-                // chunk instead of once per counter set per record.
+                // worker instead of once per counter set per record.
                 let flags = partial.fd_entry(&unit.key);
                 flags.selected |= selected;
             } else {
@@ -243,27 +233,21 @@ impl<'a> RecordEngine<'a> {
                 continue;
             }
             partial.marked_nodes += marked_nodes;
-            let newly_marked = if is_fd {
+            // Identity queries (and textual unit ids) exist only for
+            // units that actually marked.
+            if is_fd {
                 let flags = partial.fd_entry(&unit.key);
-                let first = !flags.marked;
-                flags.marked = true;
-                first
+                if !std::mem::replace(&mut flags.marked, true) {
+                    // FD groups recur across records, so theirs are
+                    // rendered once, at finalize; the node refs die with
+                    // this record.
+                    unit.nodes = Vec::new();
+                    partial.queries.push((index, MarkedQuery::FdGroup(unit)));
+                }
             } else {
                 partial.marked_local += 1;
-                true
-            };
-            if newly_marked {
-                // Identity queries (and textual unit ids) exist only
-                // for units that actually marked.
-                let (query, logical) =
-                    unit.query_and_logical(table, self.ctx.binding, self.ctx.fds)?;
-                let stored = wmx_core::StoredQuery {
-                    unit_id: unit.key.display(table),
-                    xpath: query.to_string(),
-                    logical,
-                    mark: unit.mark,
-                };
-                partial.queries.push((is_fd.then_some(unit.key), stored));
+                let stored = self.stored_query(&unit)?;
+                partial.queries.push((index, MarkedQuery::Rendered(stored)));
             }
         }
         partial.records += 1;
@@ -275,6 +259,18 @@ impl<'a> RecordEngine<'a> {
             .expect("mini doc wraps exactly one record");
         node_to_string_into(&mini, record_node, out);
         Ok(())
+    }
+
+    /// The identity query a marked unit is stored under.
+    pub fn stored_query(&self, unit: &MarkUnit) -> Result<StoredQuery, StreamError> {
+        let table = self.plan.table();
+        let (query, logical) = unit.query_and_logical(table, self.ctx.binding, self.ctx.fds)?;
+        Ok(StoredQuery {
+            unit_id: unit.key.display(table),
+            xpath: query.to_string(),
+            logical,
+            mark: unit.mark,
+        })
     }
 
     /// Extracts votes from one record.

@@ -15,15 +15,20 @@
 //!   bytes of `wmx_xml::to_string(dom_embedded)` — the equivalence suite
 //!   in `tests/tests/stream_equivalence.rs` enforces this across the
 //!   generated corpora and adversarial documents.
-//! * **Bounded memory.** At most O(depth + one record) XML nodes are
-//!   resident at any time ([`StreamEmbedReport::peak_resident_nodes`]
-//!   measures the high-water mark); the token buffer is bounded by the
-//!   largest single record.
-//! * **Deterministic parallelism.** [`par_embed`]/[`par_detect`] split
-//!   the record list across worker threads; because every per-unit
-//!   decision depends only on the unit id and the secret key, chunked
-//!   output is byte-identical to sequential output, and detection vote
-//!   counts merge exactly.
+//! * **Bounded memory, at every worker count.** One driver
+//!   ([`embed`]/[`detect`], and the six wrappers over them) reads any
+//!   [`std::io::BufRead`] on the calling thread and keeps at most a few
+//!   fixed-size batches of records per worker in flight, so memory does
+//!   not grow with the input. Each worker materializes O(depth + one
+//!   record) XML nodes at a time
+//!   ([`StreamEmbedReport::peak_resident_nodes`] measures the high-water
+//!   mark); the token buffer is bounded by the largest single record.
+//! * **Deterministic parallelism, at every worker count.** Batches go
+//!   round-robin to the workers and come back in the same order; because
+//!   every per-unit decision depends only on the unit id and the secret
+//!   key, output is byte-identical, vote counts and forensic tallies
+//!   merge exactly, and a damaged stream salvages the same partial
+//!   verdict whatever the worker count.
 //!
 //! # Scope
 //!
@@ -45,12 +50,13 @@
 pub mod driver;
 pub mod engine;
 mod metrics;
-pub mod parallel;
 pub mod reader;
 pub mod report;
 
-pub use driver::{stream_detect, stream_detect_forensic, stream_embed};
-pub use parallel::{par_detect, par_detect_forensic, par_embed};
+pub use driver::{
+    detect, embed, par_detect, par_detect_forensic, par_embed, stream_detect,
+    stream_detect_forensic, stream_embed,
+};
 pub use reader::{Misc, TopEvent, TopLevelReader};
 pub use report::{ChunkSummary, ChunkTiming, StreamDetectReport, StreamEmbedReport, StreamFault};
 

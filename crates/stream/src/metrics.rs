@@ -1,10 +1,10 @@
-//! Registry handles for the streaming drivers' chunk-level metrics.
+//! Registry handles for the streaming driver's per-worker metrics.
 //!
 //! Resolved once per process via `OnceLock`; the handles themselves are
-//! lock-free, so recording from parallel worker chunks costs only
-//! Relaxed atomics. Per-record work inside `RecordEngine` is left
-//! uninstrumented on purpose — chunk granularity is the finest level
-//! that doesn't tax the record loop.
+//! lock-free, so recording costs only Relaxed atomics. Per-record work
+//! inside `RecordEngine` is left uninstrumented on purpose — batch and
+//! worker granularity is the finest level that doesn't tax the record
+//! loop.
 
 use std::sync::{Arc, OnceLock};
 
@@ -13,21 +13,21 @@ use wmx_telemetry::{Counter, Histogram};
 use crate::report::ChunkTiming;
 
 pub(crate) struct StreamMetrics {
-    /// Wall-clock per chunk (sequential: whole pass; parallel: one
-    /// worker chunk) — see `ChunkTiming`'s family caveat.
+    /// Wall-clock of one worker's record work per run — see
+    /// `ChunkTiming`.
     pub chunk_micros: Arc<Histogram>,
-    /// Records processed across all chunks.
+    /// Records worked across all workers.
     pub records: Arc<Counter>,
-    /// Chunks timed.
+    /// Worker timings recorded.
     pub chunks: Arc<Counter>,
-    /// Node votes cast by detect chunks.
+    /// Node votes cast by detect runs.
     pub votes: Arc<Counter>,
-    /// Cross-chunk partial-report merges performed by parallel drivers.
+    /// Worker tallies folded into a run's report.
     pub merges: Arc<Counter>,
 }
 
 impl StreamMetrics {
-    /// Folds one finished chunk into the histograms/counters.
+    /// Folds one worker's timing into the histograms/counters.
     pub fn record_chunk(&self, timing: &ChunkTiming) {
         self.chunk_micros
             .record(u64::try_from(timing.micros).unwrap_or(u64::MAX));

@@ -10,7 +10,8 @@
 //! between records — surfaces as its own event so the driver can
 //! re-emit it exactly as the DOM serializer would.
 //!
-//! Memory is bounded by the largest single record plus one read chunk.
+//! Memory is bounded by the largest single record plus one read chunk
+//! of at most [`MAX_FILL`] bytes.
 
 use crate::StreamError;
 use std::io::BufRead;
@@ -64,6 +65,10 @@ pub enum TopEvent {
     TrailingMisc(Misc),
 }
 
+/// Most bytes one fill hands the pull parser, so a source that exposes
+/// its whole input at once (a `&[u8]`) is still lexed in bounded pieces.
+const MAX_FILL: usize = 64 * 1024;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     Prolog,
@@ -83,6 +88,8 @@ pub struct TopLevelReader<R> {
     /// Trailing bytes of the previous read that were not yet a complete
     /// UTF-8 character.
     pending_utf8: Vec<u8>,
+    /// The source held invalid UTF-8 after the bytes already pushed.
+    invalid_utf8: bool,
     eof: bool,
     /// Emit `RootEnd` on the next pull (self-closing root).
     pending_root_end: bool,
@@ -98,16 +105,25 @@ impl<R: BufRead> TopLevelReader<R> {
             record_depth: 0,
             record_start: 0,
             pending_utf8: Vec::new(),
+            invalid_utf8: false,
             eof: false,
             pending_root_end: false,
         }
     }
 
-    /// Reads one chunk from the source into the pull parser, handling
-    /// UTF-8 sequences split across chunk boundaries. The common case
-    /// (no pending partial character) pushes straight from the source
-    /// buffer without copying.
+    /// Reads one chunk (at most [`MAX_FILL`] bytes) from the source into
+    /// the pull parser, handling UTF-8 sequences split across chunk
+    /// boundaries. The common case (no pending partial character) pushes
+    /// straight from the source buffer without copying. Invalid UTF-8
+    /// stops the input at the bad byte: the valid prefix before it is
+    /// still pushed, and the error is raised only when the parser needs
+    /// more input, so what is salvaged does not depend on buffering.
     fn fill(&mut self) -> Result<(), StreamError> {
+        if self.invalid_utf8 {
+            return Err(StreamError::Unsupported(
+                "input is not valid UTF-8".to_string(),
+            ));
+        }
         if self.eof {
             return Ok(());
         }
@@ -117,10 +133,12 @@ impl<R: BufRead> TopLevelReader<R> {
             src,
             pull,
             pending_utf8,
+            invalid_utf8,
             eof,
             ..
         } = self;
         let chunk = src.fill_buf()?;
+        let chunk = &chunk[..chunk.len().min(MAX_FILL)];
         if chunk.is_empty() {
             *eof = true;
             if !pending_utf8.is_empty() {
@@ -132,38 +150,36 @@ impl<R: BufRead> TopLevelReader<R> {
             return Ok(());
         }
         let consumed = chunk.len();
-        let push_prefix = |pull: &mut PullParser,
-                           pending_utf8: &mut Vec<u8>,
-                           bytes: &[u8]|
-         -> Result<(), StreamError> {
-            match std::str::from_utf8(bytes) {
-                Ok(text) => {
-                    pull.push_str(text);
-                    Ok(())
-                }
-                Err(e) => {
-                    let valid = e.valid_up_to();
-                    if e.error_len().is_some() || bytes.len() - valid > 3 {
-                        return Err(StreamError::Unsupported(
-                            "input is not valid UTF-8".to_string(),
-                        ));
-                    }
+        let joined;
+        let bytes = if pending_utf8.is_empty() {
+            chunk
+        } else {
+            joined = [std::mem::take(pending_utf8).as_slice(), chunk].concat();
+            &joined
+        };
+        match std::str::from_utf8(bytes) {
+            Ok(text) => pull.push_str(text),
+            Err(e) => {
+                let valid = e.valid_up_to();
+                pull.push_str(std::str::from_utf8(&bytes[..valid]).expect("checked prefix"));
+                match e.error_len() {
+                    Some(_) => *invalid_utf8 = true,
                     // A character split across chunks: keep its prefix.
-                    pull.push_str(std::str::from_utf8(&bytes[..valid]).expect("checked prefix"));
-                    *pending_utf8 = bytes[valid..].to_vec();
-                    Ok(())
+                    None => *pending_utf8 = bytes[valid..].to_vec(),
                 }
             }
-        };
-        if pending_utf8.is_empty() {
-            push_prefix(pull, pending_utf8, chunk)?;
-        } else {
-            let mut joined = std::mem::take(pending_utf8);
-            joined.extend_from_slice(chunk);
-            push_prefix(pull, pending_utf8, &joined)?;
         }
         self.src.consume(consumed);
         Ok(())
+    }
+
+    /// The record that started at `record_start` and ends here.
+    fn take_record(&mut self) -> TopEvent {
+        let end = self.pull.stream_offset();
+        let raw = self.pull.raw_range(self.record_start, end);
+        let raw = raw.expect("record bytes are held").to_string();
+        self.pull.release_hold();
+        TopEvent::Record(raw)
     }
 
     fn err_at(&self, kind: XmlErrorKind) -> StreamError {
@@ -171,7 +187,6 @@ impl<R: BufRead> TopLevelReader<R> {
     }
 
     /// Pulls the next top-level event, or `None` at end of document.
-    #[allow(clippy::too_many_lines)]
     pub fn next_event(&mut self) -> Result<Option<TopEvent>, StreamError> {
         if self.pending_root_end {
             self.pending_root_end = false;
@@ -211,43 +226,31 @@ impl<R: BufRead> TopLevelReader<R> {
                     Token::StartTag {
                         self_closing: false,
                         ..
-                    } => {
-                        self.record_depth += 1;
-                    }
-                    Token::EndTag { .. } => {
-                        self.record_depth -= 1;
-                        if self.record_depth == 0 {
-                            let end = self.pull.stream_offset();
-                            let raw = self
-                                .pull
-                                .raw_range(self.record_start, end)
-                                .expect("record bytes are held")
-                                .to_string();
-                            self.pull.release_hold();
-                            return Ok(Some(TopEvent::Record(raw)));
-                        }
-                    }
+                    } => self.record_depth += 1,
+                    Token::EndTag { .. } => self.record_depth -= 1,
                     _ => {}
+                }
+                if self.record_depth == 0 {
+                    return Ok(Some(self.take_record()));
                 }
                 continue;
             }
-            match self.state {
+            if let Token::Text { content } = &token {
+                if wmx_xml::scan::is_all_whitespace(content) {
+                    continue; // default ParseOptions drop these
+                }
+            }
+            let event = match self.state {
                 State::Prolog => match token {
-                    Token::XmlDecl { content } => return Ok(Some(TopEvent::XmlDecl(content))),
-                    Token::Doctype { content } => return Ok(Some(TopEvent::Doctype(content))),
-                    Token::Comment { content } => {
-                        return Ok(Some(TopEvent::PrologMisc(Misc::Comment(content))))
-                    }
+                    Token::XmlDecl { content } => TopEvent::XmlDecl(content),
+                    Token::Doctype { content } => TopEvent::Doctype(content),
+                    Token::Comment { content } => TopEvent::PrologMisc(Misc::Comment(content)),
                     Token::ProcessingInstruction { target, data } => {
-                        return Ok(Some(TopEvent::PrologMisc(Misc::Pi { target, data })))
+                        TopEvent::PrologMisc(Misc::Pi { target, data })
                     }
-                    Token::Text { content } => {
-                        if wmx_xml::scan::is_all_whitespace(&content) {
-                            continue;
-                        }
-                        return Err(self.err_at(XmlErrorKind::NoRootElement));
+                    Token::Text { .. } | Token::CData { .. } => {
+                        return Err(self.err_at(XmlErrorKind::NoRootElement))
                     }
-                    Token::CData { .. } => return Err(self.err_at(XmlErrorKind::NoRootElement)),
                     Token::StartTag {
                         name,
                         attributes,
@@ -258,10 +261,10 @@ impl<R: BufRead> TopLevelReader<R> {
                         // Resolve symbols at this boundary: the event
                         // outlives the pull parser's name table.
                         let names = self.pull.interner();
-                        return Ok(Some(TopEvent::RootStart {
+                        TopEvent::RootStart {
                             name: names.resolve(name).to_string(),
                             attributes: attributes.iter().map(|a| a.resolve(names)).collect(),
-                        }));
+                        }
                     }
                     Token::EndTag { name } => {
                         let close = self.pull.interner().resolve(name).to_string();
@@ -271,40 +274,23 @@ impl<R: BufRead> TopLevelReader<R> {
                 State::Content => match token {
                     Token::StartTag { self_closing, .. } => {
                         self.record_start = tok_start;
-                        if self_closing {
-                            let end = self.pull.stream_offset();
-                            let raw = self
-                                .pull
-                                .raw_range(self.record_start, end)
-                                .expect("record bytes are held")
-                                .to_string();
-                            self.pull.release_hold();
-                            return Ok(Some(TopEvent::Record(raw)));
+                        if !self_closing {
+                            self.record_depth = 1;
+                            continue;
                         }
-                        self.record_depth = 1;
-                        continue;
+                        self.take_record()
                     }
                     Token::EndTag { .. } => {
                         self.state = State::Epilog;
-                        return Ok(Some(TopEvent::RootEnd));
+                        TopEvent::RootEnd
                     }
-                    Token::Text { content } => {
-                        if wmx_xml::scan::is_all_whitespace(&content) {
-                            continue; // default ParseOptions drop these
-                        }
-                        return Ok(Some(TopEvent::Misc(Misc::Text(content.into_string()))));
-                    }
-                    Token::CData { content } => {
-                        if content.is_empty() {
-                            continue; // invisible to the compact serializer
-                        }
-                        return Ok(Some(TopEvent::Misc(Misc::CData(content.into_string()))));
-                    }
-                    Token::Comment { content } => {
-                        return Ok(Some(TopEvent::Misc(Misc::Comment(content))))
-                    }
+                    Token::Text { content } => TopEvent::Misc(Misc::Text(content.into_string())),
+                    // Empty CDATA is invisible to the compact serializer.
+                    Token::CData { content } if content.is_empty() => continue,
+                    Token::CData { content } => TopEvent::Misc(Misc::CData(content.into_string())),
+                    Token::Comment { content } => TopEvent::Misc(Misc::Comment(content)),
                     Token::ProcessingInstruction { target, data } => {
-                        return Ok(Some(TopEvent::Misc(Misc::Pi { target, data })))
+                        TopEvent::Misc(Misc::Pi { target, data })
                     }
                     Token::XmlDecl { .. } | Token::Doctype { .. } => {
                         return Err(StreamError::Unsupported(
@@ -313,31 +299,26 @@ impl<R: BufRead> TopLevelReader<R> {
                     }
                 },
                 State::Epilog => match token {
-                    Token::Comment { content } => {
-                        return Ok(Some(TopEvent::TrailingMisc(Misc::Comment(content))))
-                    }
+                    Token::Comment { content } => TopEvent::TrailingMisc(Misc::Comment(content)),
                     Token::ProcessingInstruction { target, data } => {
-                        return Ok(Some(TopEvent::TrailingMisc(Misc::Pi { target, data })))
+                        TopEvent::TrailingMisc(Misc::Pi { target, data })
                     }
-                    Token::Text { content } => {
-                        if wmx_xml::scan::is_all_whitespace(&content) {
-                            continue;
-                        }
-                        return Err(self.err_at(XmlErrorKind::TrailingContent));
+                    Token::Text { .. } | Token::CData { .. } => {
+                        return Err(self.err_at(XmlErrorKind::TrailingContent))
                     }
                     Token::StartTag { .. } => return Err(self.err_at(XmlErrorKind::MultipleRoots)),
                     Token::EndTag { name } => {
                         let close = self.pull.interner().resolve(name).to_string();
                         return Err(self.err_at(XmlErrorKind::UnmatchedClose { close }));
                     }
-                    Token::CData { .. } => return Err(self.err_at(XmlErrorKind::TrailingContent)),
                     Token::XmlDecl { .. } | Token::Doctype { .. } => {
                         return Err(StreamError::Unsupported(
                             "XML declaration/DOCTYPE after the root element".to_string(),
                         ))
                     }
                 },
-            }
+            };
+            return Ok(Some(event));
         }
     }
 }

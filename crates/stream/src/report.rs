@@ -1,32 +1,34 @@
-//! Streaming report accumulation and cross-chunk merging.
+//! Streaming report accumulation and cross-worker merging.
 //!
 //! Key-identified and order units are local to one record, so their
 //! counters simply add up. FD-redundancy groups span records (every
 //! member of `editor → publisher` carries the same mark wherever it
-//! lives), so each chunk tracks them in a single [`UnitKey`]-keyed flag
+//! lives), so each worker tracks them in a single [`UnitKey`]-keyed flag
 //! map — one entry per group carrying its total/selected/marked (or
 //! located) state — and the merge ORs the flags, reproducing exactly
 //! the whole-document counts the DOM encoder reports. Keys are compact
 //! symbol tuples ([`wmx_core::SelectionTable`] symbols are stable
-//! across chunks), so no unit-id strings are built or cloned anywhere
+//! across workers), so no unit-id strings are built or cloned anywhere
 //! on the merge path.
 
+use crate::engine::RecordEngine;
+use crate::StreamError;
 use std::collections::{BTreeMap, BTreeSet};
-use wmx_core::{BitVotes, EmbedReport, ForensicTallies, SelectionTable, StoredQuery, UnitKey};
+use wmx_core::{
+    BitVotes, EmbedReport, ForensicTallies, MarkUnit, SelectionTable, StoredQuery, UnitKey,
+};
 
-/// Wall-clock telemetry for one contiguous run of records, consumed by
-/// the `wmx-bench` telemetry reports. The two driver families time
-/// different spans: the sequential drivers emit **one** entry covering
-/// the whole pass (reading, record splitting, per-record work, and
-/// output emission), while the parallel drivers emit one entry per
-/// worker chunk covering only that chunk's per-record embed/detect work
-/// (the upfront split and final reassembly are shared). Compare entries
-/// within a family, not across families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Wall-clock telemetry for one worker, consumed by the `wmx-bench`
+/// telemetry reports. A run emits one entry per worker at every worker
+/// count (one entry for a one-worker run); each covers that worker's
+/// per-record embed/detect work over all the batches it took. Reading,
+/// record splitting and output emission happen on the calling thread
+/// and are not in any entry.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChunkTiming {
-    /// Records processed by this chunk.
+    /// Records this worker worked on (skipped ones included).
     pub records: usize,
-    /// Wall-clock time for this chunk's span (see type docs), in µs.
+    /// Wall-clock time of this worker's record work, in µs.
     pub micros: u128,
 }
 
@@ -39,8 +41,8 @@ pub struct ChunkSummary {
     pub chunks: usize,
     /// Records across all timed chunks.
     pub records: usize,
-    /// Summed chunk wall-clock, in µs (not wall time of the run: chunks
-    /// overlap under parallel drivers).
+    /// Summed chunk wall-clock, in µs (not wall time of the run: workers
+    /// overlap).
     pub total_micros: u128,
     /// Fastest chunk, in µs.
     pub min_micros: u128,
@@ -51,22 +53,14 @@ pub struct ChunkSummary {
 impl ChunkSummary {
     /// Folds raw timings into a summary (`None` when nothing was timed).
     pub fn from_timings(timings: &[ChunkTiming]) -> Option<ChunkSummary> {
-        let first = timings.first()?;
-        let mut summary = ChunkSummary {
-            chunks: 0,
-            records: 0,
-            total_micros: 0,
-            min_micros: first.micros,
-            max_micros: first.micros,
-        };
-        for t in timings {
-            summary.chunks += 1;
-            summary.records += t.records;
-            summary.total_micros += t.micros;
-            summary.min_micros = summary.min_micros.min(t.micros);
-            summary.max_micros = summary.max_micros.max(t.micros);
-        }
-        Some(summary)
+        let micros = || timings.iter().map(|t| t.micros);
+        Some(ChunkSummary {
+            chunks: timings.len(),
+            records: timings.iter().map(|t| t.records).sum(),
+            total_micros: micros().sum(),
+            min_micros: micros().min()?,
+            max_micros: micros().max()?,
+        })
     }
 
     /// Mean chunk wall-clock, in µs.
@@ -87,8 +81,7 @@ pub struct StreamEmbedReport {
     /// High-water mark of XML nodes resident at once (wrapper root +
     /// one record), the O(depth + record) memory guarantee.
     pub peak_resident_nodes: usize,
-    /// Per-chunk wall-clock timings (one entry for sequential runs, one
-    /// per worker chunk for parallel runs).
+    /// Per-worker wall-clock timings (one entry per worker).
     pub chunk_timings: Vec<ChunkTiming>,
 }
 
@@ -128,8 +121,7 @@ pub struct StreamDetectReport {
     pub records: usize,
     /// High-water mark of XML nodes resident at once.
     pub peak_resident_nodes: usize,
-    /// Per-chunk wall-clock timings (one entry for sequential runs, one
-    /// per worker chunk for parallel runs).
+    /// Per-worker wall-clock timings (one entry per worker).
     pub chunk_timings: Vec<ChunkTiming>,
     /// Mid-stream fault, when the fault-tolerant drivers salvaged a
     /// partial verdict (`None` on a complete pass).
@@ -150,11 +142,21 @@ impl StreamDetectReport {
 pub(crate) struct FdEmbedFlags {
     /// The PRF selected the group.
     pub selected: bool,
-    /// Some chunk wrote the mark into the group.
+    /// Some worker wrote the mark into the group.
     pub marked: bool,
 }
 
-/// Per-chunk embed accumulator.
+/// A marked unit's identity query.
+#[derive(Debug)]
+pub(crate) enum MarkedQuery {
+    /// A key or order unit's query, rendered where it was marked.
+    Rendered(StoredQuery),
+    /// An FD group. Groups recur across records and workers, so each
+    /// is kept unrendered and rendered once, at finalize.
+    FdGroup(MarkUnit),
+}
+
+/// Per-worker embed accumulator.
 #[derive(Debug, Default)]
 pub(crate) struct PartialEmbed {
     pub records: usize,
@@ -163,16 +165,15 @@ pub(crate) struct PartialEmbed {
     pub selected_local: usize,
     pub marked_local: usize,
     pub marked_nodes: usize,
-    /// Stored queries in discovery order, tagged with the FD unit key
-    /// when the unit is an FD group (for cross-chunk dedup).
-    pub queries: Vec<(Option<UnitKey>, StoredQuery)>,
+    /// Identity queries of the marked units, each with the stream index
+    /// of its record, in this worker's discovery order.
+    pub queries: Vec<(usize, MarkedQuery)>,
     pub fd_flags: BTreeMap<UnitKey, FdEmbedFlags>,
-    pub chunk_timings: Vec<ChunkTiming>,
 }
 
 impl PartialEmbed {
     /// The flag entry for an FD group, created on first sight (the only
-    /// point the key is cloned in this chunk).
+    /// point the key is cloned by this worker).
     pub fn fd_entry(&mut self, key: &UnitKey) -> &mut FdEmbedFlags {
         if !self.fd_flags.contains_key(key) {
             self.fd_flags.insert(key.clone(), FdEmbedFlags::default());
@@ -180,36 +181,28 @@ impl PartialEmbed {
         self.fd_flags.get_mut(key).expect("inserted above")
     }
 
-    pub fn merge(&mut self, other: PartialEmbed) {
-        self.records += other.records;
-        self.peak_resident_nodes = self.peak_resident_nodes.max(other.peak_resident_nodes);
-        self.total_local += other.total_local;
-        self.selected_local += other.selected_local;
-        self.marked_local += other.marked_local;
-        self.marked_nodes += other.marked_nodes;
-        for (key, flags) in other.fd_flags {
-            let mine = self.fd_flags.entry(key).or_default();
-            mine.selected |= flags.selected;
-            mine.marked |= flags.marked;
-        }
-        self.queries.extend(other.queries);
-        self.chunk_timings.extend(other.chunk_timings);
-    }
-
-    pub fn finalize(self) -> StreamEmbedReport {
-        let mut seen_fd: BTreeSet<UnitKey> = BTreeSet::new();
+    /// Finalizes the tally: queries in stream order, each FD group once
+    /// (where the stream first marked it), rendered by `render`.
+    pub fn finalize(
+        mut self,
+        render: impl Fn(&MarkUnit) -> Result<StoredQuery, StreamError>,
+    ) -> Result<StreamEmbedReport, StreamError> {
+        // Stable: queries of one record keep their discovery order.
+        self.queries.sort_by_key(|(record, _)| *record);
+        let mut seen_fd = BTreeSet::new();
         let mut queries = Vec::with_capacity(self.queries.len());
-        for (fd_key, query) in self.queries {
-            if let Some(key) = fd_key {
-                if !seen_fd.insert(key) {
-                    continue; // the same FD group marked in another chunk
+        for (_, query) in self.queries {
+            match query {
+                MarkedQuery::Rendered(stored) => queries.push(stored),
+                MarkedQuery::FdGroup(unit) if seen_fd.insert(unit.key.clone()) => {
+                    queries.push(render(&unit)?);
                 }
+                MarkedQuery::FdGroup(_) => {} // marked again by another worker
             }
-            queries.push(query);
         }
         let fd_selected = self.fd_flags.values().filter(|f| f.selected).count();
         let fd_marked = self.fd_flags.values().filter(|f| f.marked).count();
-        StreamEmbedReport {
+        Ok(StreamEmbedReport {
             report: EmbedReport {
                 total_units: self.total_local + self.fd_flags.len(),
                 selected_units: self.selected_local + fd_selected,
@@ -219,13 +212,13 @@ impl PartialEmbed {
             },
             records: self.records,
             peak_resident_nodes: self.peak_resident_nodes,
-            chunk_timings: self.chunk_timings,
-        }
+            chunk_timings: Vec::new(),
+        })
     }
 }
 
-/// Per-chunk detect accumulator.
-#[derive(Debug)]
+/// Per-worker detect accumulator.
+#[derive(Debug, Default)]
 pub(crate) struct PartialDetect {
     pub records: usize,
     pub peak_resident_nodes: usize,
@@ -233,60 +226,28 @@ pub(crate) struct PartialDetect {
     pub votes_cast: usize,
     pub total_local: usize,
     pub located_local: usize,
-    /// Selected FD groups → whether any chunk located votes for them.
+    /// Selected FD groups → whether any worker located votes for them.
     pub fd_located: BTreeMap<UnitKey, bool>,
     /// Per-unit forensic tallies, accumulated only when the forensic
     /// drivers enable them (`None` keeps the default hot path untouched).
     pub forensics: Option<ForensicTallies>,
-    pub chunk_timings: Vec<ChunkTiming>,
 }
 
 impl PartialDetect {
-    pub fn new(wm_len: usize) -> Self {
+    /// A fresh accumulator `wm_len` votes wide, with forensic tallies
+    /// when `forensics` is set.
+    pub fn new(wm_len: usize, forensics: bool) -> Self {
         PartialDetect {
-            records: 0,
-            peak_resident_nodes: 0,
             bit_votes: vec![BitVotes::default(); wm_len],
-            votes_cast: 0,
-            total_local: 0,
-            located_local: 0,
-            fd_located: BTreeMap::new(),
-            forensics: None,
-            chunk_timings: Vec::new(),
+            forensics: forensics.then(ForensicTallies::new),
+            ..PartialDetect::default()
         }
-    }
-
-    /// A fresh accumulator with forensic tallies enabled.
-    pub fn with_forensics(wm_len: usize) -> Self {
-        let mut partial = PartialDetect::new(wm_len);
-        partial.forensics = Some(ForensicTallies::new());
-        partial
     }
 
     /// The located flag for a selected FD group. Takes the key by value:
     /// an already-present key is dropped, not cloned.
     pub fn fd_entry(&mut self, key: UnitKey) -> &mut bool {
         self.fd_located.entry(key).or_default()
-    }
-
-    pub fn merge(&mut self, other: PartialDetect) {
-        self.records += other.records;
-        self.peak_resident_nodes = self.peak_resident_nodes.max(other.peak_resident_nodes);
-        for (mine, theirs) in self.bit_votes.iter_mut().zip(&other.bit_votes) {
-            mine.merge(theirs);
-        }
-        self.votes_cast += other.votes_cast;
-        self.total_local += other.total_local;
-        self.located_local += other.located_local;
-        for (key, located) in other.fd_located {
-            *self.fd_located.entry(key).or_default() |= located;
-        }
-        match (&mut self.forensics, other.forensics) {
-            (Some(mine), Some(theirs)) => mine.merge(theirs),
-            (mine @ None, Some(theirs)) => *mine = Some(theirs),
-            (_, None) => {}
-        }
-        self.chunk_timings.extend(other.chunk_timings);
     }
 
     fn counters(&self) -> wmx_core::VoteCounters {
@@ -299,48 +260,114 @@ impl PartialDetect {
         }
     }
 
-    pub fn finalize(self, watermark: &wmx_core::Watermark, threshold: f64) -> StreamDetectReport {
-        let counters = self.counters();
-        // The base-width, no-forensics case keeps the original pinned
-        // path; a wider tally means redundancy mode, which needs the
-        // group-majority decode.
-        let report = if self.bit_votes.len() == watermark.len() {
-            wmx_core::report_from_votes(self.bit_votes, watermark, threshold, counters)
-        } else {
-            wmx_core::finalize_forensic_report(self.bit_votes, watermark, threshold, counters, None)
-        };
-        StreamDetectReport {
-            report,
-            records: self.records,
-            peak_resident_nodes: self.peak_resident_nodes,
-            chunk_timings: self.chunk_timings,
-            fault: None,
-        }
-    }
-
-    /// Finalize with the forensic tallies rendered through the same
-    /// [`wmx_core::finalize_forensic_report`] seam the DOM forensic
+    /// Finalizes the tally. Forensic tallies are rendered through the
+    /// same [`wmx_core::finalize_forensic_report`] seam the DOM forensic
     /// decoder uses — DOM and stream forensics agree by construction.
-    pub fn finalize_forensic(
+    pub fn finalize(
         self,
         watermark: &wmx_core::Watermark,
         threshold: f64,
         table: &SelectionTable,
     ) -> StreamDetectReport {
         let counters = self.counters();
-        let report = wmx_core::finalize_forensic_report(
-            self.bit_votes,
-            watermark,
-            threshold,
-            counters,
-            self.forensics.as_ref().map(|t| (t, table)),
-        );
+        // The base-width, no-forensics case keeps the original pinned
+        // path; a wider tally means redundancy mode, which needs the
+        // group-majority decode.
+        let report = if self.forensics.is_none() && self.bit_votes.len() == watermark.len() {
+            wmx_core::report_from_votes(self.bit_votes, watermark, threshold, counters)
+        } else {
+            wmx_core::finalize_forensic_report(
+                self.bit_votes,
+                watermark,
+                threshold,
+                counters,
+                self.forensics.as_ref().map(|t| (t, table)),
+            )
+        };
         StreamDetectReport {
             report,
             records: self.records,
             peak_resident_nodes: self.peak_resident_nodes,
-            chunk_timings: self.chunk_timings,
+            chunk_timings: Vec::new(),
             fault: None,
+        }
+    }
+}
+
+/// A worker's accumulator: what it does with each record, and how the
+/// workers' accumulators fold together.
+pub(crate) trait Tally: Default + Send {
+    /// Works the record with stream index `index`.
+    fn record(
+        &mut self,
+        engine: &RecordEngine<'_>,
+        index: usize,
+        raw: &mut String,
+    ) -> Result<(), StreamError>;
+
+    /// Folds another worker's tally into this one.
+    fn merge(&mut self, other: Self);
+}
+
+impl Tally for PartialEmbed {
+    /// Embeds the record and writes the marked bytes back into `raw`.
+    /// The copy keeps each buffer on the thread that allocated it: the
+    /// record's own on the reading thread, the scratch on this one. A
+    /// heap that threads hand buffers between grows from run to run.
+    fn record(
+        &mut self,
+        engine: &RecordEngine<'_>,
+        index: usize,
+        raw: &mut String,
+    ) -> Result<(), StreamError> {
+        let mut marked = String::with_capacity(raw.len() + raw.len() / 4);
+        engine.embed_record_into(raw, index, self, &mut marked)?;
+        raw.clear();
+        raw.push_str(&marked);
+        Ok(())
+    }
+
+    fn merge(&mut self, other: Self) {
+        self.records += other.records;
+        self.peak_resident_nodes = self.peak_resident_nodes.max(other.peak_resident_nodes);
+        self.total_local += other.total_local;
+        self.selected_local += other.selected_local;
+        self.marked_local += other.marked_local;
+        self.marked_nodes += other.marked_nodes;
+        self.queries.extend(other.queries);
+        for (key, flags) in other.fd_flags {
+            let mine = self.fd_flags.entry(key).or_default();
+            mine.selected |= flags.selected;
+            mine.marked |= flags.marked;
+        }
+    }
+}
+
+impl Tally for PartialDetect {
+    fn record(
+        &mut self,
+        engine: &RecordEngine<'_>,
+        _: usize,
+        raw: &mut String,
+    ) -> Result<(), StreamError> {
+        engine.detect_record(raw, self)
+    }
+
+    fn merge(&mut self, other: Self) {
+        self.records += other.records;
+        self.peak_resident_nodes = self.peak_resident_nodes.max(other.peak_resident_nodes);
+        for (mine, theirs) in self.bit_votes.iter_mut().zip(&other.bit_votes) {
+            mine.merge(theirs);
+        }
+        self.votes_cast += other.votes_cast;
+        self.total_local += other.total_local;
+        self.located_local += other.located_local;
+        for (key, located) in other.fd_located {
+            *self.fd_located.entry(key).or_default() |= located;
+        }
+        // Every worker of a run keeps forensic tallies, or none does.
+        if let (Some(mine), Some(theirs)) = (&mut self.forensics, other.forensics) {
+            mine.merge(theirs);
         }
     }
 }

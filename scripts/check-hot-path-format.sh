@@ -4,9 +4,10 @@
 # is a compact UnitKey fed to the PRF incrementally; textual ids are
 # rendered only by UnitKey::display for marked units; record
 # mini-documents and wrapper tags are assembled with push_str into
-# pre-sized buffers. A `format!` creeping back into the non-test region
-# of these files would put a per-unit (or per-record) allocation on the
-# hottest loop, so CI denies it here (tests below `#[cfg(test)]` are
+# pre-sized buffers, and the streaming driver writes output pieces with
+# write_all. A `format!` creeping back into the non-test region of these
+# files would put a per-unit (or per-record) allocation on the hottest
+# loop, so CI denies it here (tests below `#[cfg(test)]` are
 # exempt). The streaming engine additionally must never parse a query
 # per record — every access step is compiled once into the cached
 # SelectionPlan — so `Query::compile` is denied there too.
@@ -15,7 +16,7 @@ set -eu
 cd "$(dirname "$0")/.."
 status=0
 for f in crates/core/src/encoder.rs crates/core/src/decoder.rs crates/stream/src/engine.rs \
-         crates/stream/src/report.rs; do
+         crates/stream/src/report.rs crates/stream/src/driver.rs; do
     hits=$(awk '/#\[cfg\(test\)\]/{exit} /format!/{print FILENAME ":" FNR ": " $0}' "$f")
     if [ -n "$hits" ]; then
         echo "error: format! on the embed/detect hot path (use UnitKey/display or push_str):" >&2

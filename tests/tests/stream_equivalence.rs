@@ -21,8 +21,8 @@ use wmx_core::{
 use wmx_crypto::SecretKey;
 use wmx_data::{jobs, library, publications, Dataset};
 use wmx_stream::{
-    par_detect, par_detect_forensic, par_embed, stream_detect, stream_detect_forensic,
-    stream_embed, StreamContext,
+    detect as detect_bytes, par_detect, par_detect_forensic, par_embed, stream_detect,
+    stream_detect_forensic, stream_embed, StreamContext,
 };
 use wmx_xml::{parse, to_pretty_string, to_string};
 
@@ -482,6 +482,44 @@ proptest! {
             prop_assert!(par.fault.as_ref().is_some_and(|f| f.truncated));
         }
     }
+
+    /// Byte-level damage — a window of invalid UTF-8 at a seeded offset,
+    /// or a cut at a seeded byte — read through the byte entry point
+    /// salvages the same partial verdict at every worker count: records,
+    /// fault, bit votes and forensics all agree, and nothing panics.
+    #[test]
+    fn damaged_bytes_give_one_verdict_at_every_worker_count(
+        seed in 0u64..1000,
+        truncate in 0usize..2,
+    ) {
+        let dataset = publications::generate(&publications::PublicationsConfig {
+            records: 100,
+            editors: 5,
+            seed: 4900 + seed,
+            gamma: 3,
+        });
+        let input = to_string(&dataset.doc);
+        let (marked, _) = dom_embed_bytes(&input, &dataset);
+        let at = 0.1 + (seed % 85) as f64 / 100.0;
+        let damaged = if truncate == 1 {
+            TruncationAttack::new(at).apply(&marked).into_bytes()
+        } else {
+            GarbleAttack::new(at, 64, GarbleMode::InvalidUtf8, seed).apply(&marked)
+        };
+        let run = |workers: usize| {
+            detect_bytes(damaged.as_slice(), workers, ctx(&dataset), &key(), &wm(), 0.85, true)
+                .expect("damage after the root start leaves a partial verdict")
+        };
+        let reference = run(1);
+        prop_assert!(reference.fault.is_some());
+        for workers in [2usize, 3, 5, 8] {
+            let par = run(workers);
+            prop_assert_eq!(par.records, reference.records, "workers={}", workers);
+            prop_assert_eq!(&par.fault, &reference.fault, "workers={}", workers);
+            prop_assert_eq!(&par.report.bit_votes, &reference.report.bit_votes);
+            prop_assert_eq!(&par.report.forensics, &reference.report.forensics);
+        }
+    }
 }
 
 /// A reader yielding at most 5 bytes per call: the pull parser must
@@ -521,4 +559,46 @@ fn chunked_reads_do_not_change_output() {
     );
     stream_embed(src, &mut trickled, ctx(&dataset), &key(), &wm()).unwrap();
     assert_eq!(whole, trickled);
+}
+
+/// Invalid UTF-8 ends the stream at the bad byte, not at the start of
+/// the read buffer holding it: one slice, `BufReader`s of any capacity
+/// and a 5-byte trickle all salvage the records before the damage.
+#[test]
+fn invalid_utf8_salvage_does_not_depend_on_buffering() {
+    let dataset = publications::generate(&publications::PublicationsConfig {
+        records: 1500,
+        editors: 30,
+        seed: 48,
+        gamma: 3,
+    });
+    let input = to_string(&dataset.doc);
+    let (marked, _) = dom_embed_bytes(&input, &dataset);
+    let garbled = GarbleAttack::new(0.5, 64, GarbleMode::InvalidUtf8, 7).apply(&marked);
+    let run = |source: Box<dyn std::io::BufRead + '_>| {
+        stream_detect_forensic(source, ctx(&dataset), &key(), &wm(), 0.85)
+            .expect("damage after the root start leaves a partial verdict")
+    };
+    let reference = run(Box::new(garbled.as_slice()));
+    assert!(reference.fault.is_some());
+    assert!(
+        reference.records > 500 && reference.records < 1500,
+        "salvaged {} records",
+        reference.records
+    );
+    let buffered = [8 << 10, 64 << 10, 1 << 20].map(|capacity| {
+        run(Box::new(std::io::BufReader::with_capacity(
+            capacity,
+            garbled.as_slice(),
+        )))
+    });
+    let trickled = run(Box::new(std::io::BufReader::new(Trickle {
+        data: &garbled,
+        pos: 0,
+    })));
+    for other in buffered.iter().chain([&trickled]) {
+        assert_eq!(other.records, reference.records);
+        assert_eq!(other.fault, reference.fault);
+        assert_eq!(other.report.forensics, reference.report.forensics);
+    }
 }
