@@ -14,9 +14,9 @@
 //!   regressions everywhere while stricter floors can be set per-metric
 //!   by editing the baseline file.
 
-use crate::json::{obj, Json};
 use crate::report::{BenchReport, SCHEMA_VERSION};
 use std::path::Path;
+use wmx_telemetry::json::{obj, Json};
 
 /// Default allowed fractional drop for `throughput/…` metrics when a
 /// baseline is refreshed: the gate only fails when throughput falls

@@ -26,12 +26,12 @@ use wmx_attacks::{
     RoundingAttack, TruncationAttack,
 };
 use wmx_core::{
-    detect, detect_forensic, embed, DetectionInput, DetectionReport, EncoderConfig,
-    ForensicContext, MarkableAttr, UnitStatus, Watermark,
+    detect, detect_forensic, embed, global_plan_cache, DetectionInput, DetectionReport,
+    EncoderConfig, ForensicContext, MarkableAttr, UnitStatus, Watermark,
 };
 use wmx_crypto::SecretKey;
 use wmx_data::publications::{self, PublicationsConfig};
-use wmx_telemetry::json::Json as TJson;
+use wmx_telemetry::json::{obj, Json};
 
 /// Parameters of one gate suite run. All seeds are fixed so the
 /// robustness grid is bit-for-bit reproducible across machines.
@@ -70,9 +70,9 @@ pub const E3_KEEPS: [f64; 3] = [0.80, 0.40, 0.10];
 /// (text → DOM), `serialize` (DOM → text), `query_eval` (the
 /// safeguarded identity-query set re-evaluated against the marked
 /// document — the detection hot path in isolation; its `records_per_s`
-/// reads as queries/s), and `unit_select` (unit enumeration + keyed
-/// PRF selection over every unit, no marking — the `UnitKey` layer in
-/// isolation; its `records_per_s` reads as units/s). `stream_detect`'s
+/// reads as queries/s), and `unit_select` (`SelectionPlan::execute` +
+/// keyed PRF selection over every unit, no marking — the `UnitKey`
+/// layer in isolation; its `records_per_s` reads as units/s). `stream_detect`'s
 /// `records_per_s` doubles as the streaming per-record detect gauge.
 /// `batch_detect` re-answers the same query set through
 /// [`wmx_xpath::batch_select`] — one shared scan per identity-query
@@ -201,7 +201,7 @@ pub fn run_suite(p: &SuiteParams) -> BenchReport {
 /// Runs the measurement suite and also returns the forensic-scenario
 /// artifact (the record-level localization detail behind the flattened
 /// `forensics/…` metrics) the gate writes to `FORENSICS_<workload>.json`.
-pub fn run_suite_full(p: &SuiteParams) -> (BenchReport, TJson) {
+pub fn run_suite_full(p: &SuiteParams) -> (BenchReport, Json) {
     let mcfg = MeasureConfig {
         warmup: p.warmup,
         iters: p.iters,
@@ -382,35 +382,23 @@ pub fn run_suite_full(p: &SuiteParams) -> (BenchReport, TJson) {
     });
     throughput.push(ThroughputStat::from_measurement("query_eval", &m));
 
-    // Symbol-native unit selection in isolation: enumerate every
-    // markable unit and run the keyed PRF selection over its compact
-    // key — the shared front half of embed and streaming detect.
-    // records_per_iter is the unit count, so `records_per_s` reads as
-    // units selected per second.
-    let table = wmx_core::SelectionTable::build(&w.dataset.config, &w.dataset.fds);
-    let unit_count = wmx_core::enumerate_units(
-        &w.marked,
-        &w.dataset.binding,
-        &w.dataset.fds,
-        &w.dataset.config,
-        &table,
-    )
-    .expect("suite enumerates")
-    .len() as u64;
+    // Symbol-native unit selection in isolation: execute the cached
+    // selection plan (the enumeration both engines run) and run the
+    // keyed PRF selection over every unit's compact key — the shared
+    // front half of embed and streaming detect. records_per_iter is the
+    // unit count, so `records_per_s` reads as units selected per second.
+    let plan = global_plan_cache()
+        .get_or_compile(&w.dataset.binding, &w.dataset.fds, &w.dataset.config)
+        .expect("suite plan compiles");
+    let table = plan.table();
+    let unit_count = plan.execute(&w.marked).len() as u64;
     assert!(unit_count > 0, "suite workload has units");
     let marker = wmx_core::UnitMarker::new(w.key.clone());
     let m = Measurement::run(&mcfg, input_bytes, unit_count, || {
-        let units = wmx_core::enumerate_units(
-            &w.marked,
-            &w.dataset.binding,
-            &w.dataset.fds,
-            &w.dataset.config,
-            &table,
-        )
-        .expect("suite enumerates");
+        let units = plan.execute(&w.marked);
         let selected = units
             .iter()
-            .filter(|u| marker.is_selected(&u.key.id(&table), w.dataset.config.gamma))
+            .filter(|u| marker.is_selected(&u.key.id(table), w.dataset.config.gamma))
             .count();
         assert!(selected > 0, "selection must pick units at gamma");
     });
@@ -595,15 +583,6 @@ fn attack_grid(p: &SuiteParams, w: &crate::MarkedWorkload) -> Vec<RobustnessStat
     grid
 }
 
-fn tobj(members: Vec<(&str, TJson)>) -> TJson {
-    TJson::Object(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 /// The deterministic forensic-scenario grid (see [`forensic_points`]):
 /// flattened gate metrics plus the record-level artifact written to
 /// `FORENSICS_<workload>.json`.
@@ -612,7 +591,7 @@ fn forensics_grid(
     w: &crate::MarkedWorkload,
     sw: &crate::StreamingWorkload,
     marked_stream: &str,
-) -> (Vec<ForensicsStat>, TJson) {
+) -> (Vec<ForensicsStat>, Json) {
     let mut stats = Vec::new();
     let mut scenarios = Vec::new();
 
@@ -620,21 +599,17 @@ fn forensics_grid(
     // flips the parity mark) and demand that the suspect records the
     // forensic pass flags are exactly the damaged ones.
     {
-        let table = wmx_core::SelectionTable::build(&w.dataset.config, &w.dataset.fds);
-        let units = wmx_core::enumerate_units(
-            &w.marked,
-            &w.dataset.binding,
-            &w.dataset.fds,
-            &w.dataset.config,
-            &table,
-        )
-        .expect("forensic enumerate");
+        let plan = global_plan_cache()
+            .get_or_compile(&w.dataset.binding, &w.dataset.fds, &w.dataset.config)
+            .expect("forensic plan compiles");
+        let table = plan.table();
+        let units = plan.execute(&w.marked);
         let marker = wmx_core::UnitMarker::new(w.key.clone());
         let mut doc = w.marked.clone();
         let mut damaged: BTreeSet<String> = BTreeSet::new();
         let mut numeric_seen = 0usize;
         for unit in &units {
-            if !marker.is_selected(&unit.key.id(&table), w.dataset.config.gamma) {
+            if !marker.is_selected(&unit.key.id(table), w.dataset.config.gamma) {
                 continue;
             }
             let Ok(year) = unit.nodes[0].string_value(&doc).parse::<i64>() else {
@@ -646,7 +621,7 @@ fn forensics_grid(
             }
             wmx_core::write_value(&mut doc, &unit.nodes[0], &(year + 7).to_string())
                 .expect("damage year");
-            damaged.insert(unit.key.record_scope(&table));
+            damaged.insert(unit.key.record_scope(table));
         }
         assert!(!damaged.is_empty(), "localize scenario must damage records");
         let d = detect_forensic(
@@ -683,12 +658,12 @@ fn forensics_grid(
             "localize@0.05",
             vec![("precision", precision), ("recall", recall)],
         ));
-        scenarios.push(tobj(vec![
-            ("name", TJson::String("localize@0.05".into())),
-            ("damaged_records", TJson::Number(damaged.len() as f64)),
-            ("suspect_records", TJson::Number(suspects.len() as f64)),
-            ("precision", TJson::Number(precision)),
-            ("recall", TJson::Number(recall)),
+        scenarios.push(obj(vec![
+            ("name", Json::String("localize@0.05".into())),
+            ("damaged_records", Json::Number(damaged.len() as f64)),
+            ("suspect_records", Json::Number(suspects.len() as f64)),
+            ("precision", Json::Number(precision)),
+            ("recall", Json::Number(recall)),
             ("forensics", f.to_json()),
         ]));
     }
@@ -753,16 +728,16 @@ fn forensics_grid(
             "recover@r3",
             vec![("rate", rate), ("detected", detected)],
         ));
-        scenarios.push(tobj(vec![
-            ("name", TJson::String("recover@r3".into())),
-            ("recovered_units", TJson::Number(f.recovered_units as f64)),
-            ("suspect_units", TJson::Number(f.suspect_units as f64)),
+        scenarios.push(obj(vec![
+            ("name", Json::String("recover@r3".into())),
+            ("recovered_units", Json::Number(f.recovered_units as f64)),
+            ("suspect_units", Json::Number(f.suspect_units as f64)),
             (
                 "unrecoverable_units",
-                TJson::Number(f.unrecoverable_units as f64),
+                Json::Number(f.unrecoverable_units as f64),
             ),
-            ("rate", TJson::Number(rate)),
-            ("detected", TJson::Bool(d.detected)),
+            ("rate", Json::Number(rate)),
+            ("detected", Json::Bool(d.detected)),
         ]));
     }
 
@@ -794,16 +769,16 @@ fn forensics_grid(
             "fault_truncate@0.60",
             vec![("partial", partial)],
         ));
-        scenarios.push(tobj(vec![
-            ("name", TJson::String("fault_truncate@0.60".into())),
-            ("records_processed", TJson::Number(r.records as f64)),
-            ("records_total", TJson::Number(p.records as f64)),
+        scenarios.push(obj(vec![
+            ("name", Json::String("fault_truncate@0.60".into())),
+            ("records_processed", Json::Number(r.records as f64)),
+            ("records_total", Json::Number(p.records as f64)),
             (
                 "truncated",
-                TJson::Bool(r.fault.as_ref().is_some_and(|f| f.truncated)),
+                Json::Bool(r.fault.as_ref().is_some_and(|f| f.truncated)),
             ),
-            ("detected", TJson::Bool(r.report.detected)),
-            ("partial", TJson::Number(partial)),
+            ("detected", Json::Bool(r.report.detected)),
+            ("partial", Json::Number(partial)),
         ]));
     }
 
@@ -837,20 +812,20 @@ fn forensics_grid(
             "fault_garble",
             vec![("isolated", isolated)],
         ));
-        scenarios.push(tobj(vec![
-            ("name", TJson::String("fault_garble".into())),
-            ("suspect_records", TJson::Number(f.suspect_records as f64)),
-            ("records_total", TJson::Number(f.records.len() as f64)),
-            ("tampered", TJson::Bool(f.tampered)),
-            ("detected", TJson::Bool(r.report.detected)),
-            ("isolated", TJson::Number(isolated)),
+        scenarios.push(obj(vec![
+            ("name", Json::String("fault_garble".into())),
+            ("suspect_records", Json::Number(f.suspect_records as f64)),
+            ("records_total", Json::Number(f.records.len() as f64)),
+            ("tampered", Json::Bool(f.tampered)),
+            ("detected", Json::Bool(r.report.detected)),
+            ("isolated", Json::Number(isolated)),
         ]));
     }
 
-    let artifact = tobj(vec![
-        ("schema_version", TJson::Number(SCHEMA_VERSION as f64)),
-        ("workload", TJson::String(p.workload.clone())),
-        ("scenarios", TJson::Array(scenarios)),
+    let artifact = obj(vec![
+        ("schema_version", Json::Number(SCHEMA_VERSION as f64)),
+        ("workload", Json::String(p.workload.clone())),
+        ("scenarios", Json::Array(scenarios)),
     ]);
     (stats, artifact)
 }

@@ -8,7 +8,6 @@
 
 pub mod baseline;
 pub mod gate;
-pub mod json;
 pub mod measure;
 pub mod report;
 pub mod table;
@@ -16,7 +15,6 @@ pub mod workloads;
 
 pub use baseline::{baseline_from_report, compare, Baseline, BaselineMetric, Comparison};
 pub use gate::{run_gate, run_suite, GateOptions, GateOutcome, SuiteParams};
-pub use json::Json;
 pub use measure::{peak_rss_kb, MeasureConfig, Measurement};
 pub use report::{BenchReport, RobustnessStat, RunContext, ThroughputStat, SCHEMA_VERSION};
 pub use table::Table;

@@ -22,10 +22,10 @@
 //! baseline comparator gates on; every metric is oriented so that
 //! *higher is better*.
 
-use crate::json::{obj, Json};
 use crate::measure::Measurement;
 use std::path::{Path, PathBuf};
 use wmx_core::DetectionReport;
+use wmx_telemetry::json::{obj, Json};
 
 /// Version of the BENCH JSON schema this crate writes and reads.
 pub const SCHEMA_VERSION: u32 = 1;

@@ -10,7 +10,7 @@
 
 use crate::config::EncoderConfig;
 use crate::encoder::StoredQuery;
-use crate::nodectx::{DomNodes, UnitMarker};
+use crate::nodectx::UnitMarker;
 use crate::wm::Watermark;
 use wmx_crypto::SecretKey;
 use wmx_rewrite::{rewrite::rewrite_through, SchemaMapping};
@@ -190,12 +190,7 @@ pub(crate) fn collect_query_votes(
         located_queries += 1;
         // Extraction shares `UnitMarker` with the encoder and the
         // streaming engine; this path feeds it the query-located nodes.
-        let votes = marker.extract_unit(
-            &DomNodes::new(doc, &nodes),
-            &stored.unit_id,
-            stored.mark,
-            wm_len,
-        );
+        let votes = marker.extract_unit(doc, &nodes, &stored.unit_id, stored.mark, wm_len);
         for bit in votes.bits {
             votes_cast += 1;
             bit_votes[votes.bit_index].add(bit);

@@ -1,9 +1,8 @@
 //! Watermark insertion (§2.2 step 2).
 
 use crate::config::EncoderConfig;
-use crate::identifier::MarkKind;
-use crate::nodectx::{DomNodesMut, UnitMarker};
-use crate::plan::global_plan_cache;
+use crate::identifier::{MarkKind, MarkUnit, SelectionTable};
+use crate::unitpass::{EmbedTally, UnitPass};
 use crate::wm::Watermark;
 use crate::WmError;
 use wmx_crypto::SecretKey;
@@ -42,6 +41,26 @@ pub struct EmbedReport {
     pub queries: Vec<StoredQuery>,
 }
 
+impl StoredQuery {
+    /// The identity query `unit` is stored under. Rendered only for
+    /// units that took a mark, so unselected units never build a query
+    /// or a textual unit id.
+    pub(crate) fn for_unit(
+        unit: &MarkUnit,
+        table: &SelectionTable,
+        binding: &SchemaBinding,
+        fds: &[Fd],
+    ) -> Result<StoredQuery, WmError> {
+        let (query, logical) = unit.query_and_logical(table, binding, fds)?;
+        Ok(StoredQuery {
+            unit_id: unit.key.display(table),
+            xpath: query.to_string(),
+            logical,
+            mark: unit.mark,
+        })
+    }
+}
+
 impl EmbedReport {
     /// Fraction of selected units actually marked.
     pub fn capacity_utilization(&self) -> f64 {
@@ -58,7 +77,8 @@ impl EmbedReport {
 ///
 /// Follows §2.2: enumerate units (keys + FD groups), select one in γ via
 /// `HMAC(K, unit-id)`, embed the assigned watermark bit through the
-/// type's plug-in, and record the identity queries.
+/// type's plug-in, and record the identity queries. The whole document
+/// goes through the [`UnitPass`] as one record.
 pub fn embed(
     doc: &mut Document,
     binding: &SchemaBinding,
@@ -71,77 +91,28 @@ pub fn embed(
     if watermark.is_empty() {
         return Err(WmError::new("watermark must have at least one bit"));
     }
-    // Redundancy mode widens the embedded watermark to r back-to-back
-    // copies; selection and unit enumeration are untouched, each unit
-    // just indexes into the wider bit string (see `Watermark::repeat`).
-    let redundancy = config.redundancy.max(1) as usize;
-    let eff;
-    let watermark = if redundancy > 1 {
-        eff = watermark.repeat(redundancy);
-        &eff
-    } else {
-        watermark
-    };
     // The compiled plan replays `enumerate_units` with its name
     // lookups and query parsing hoisted to (cached) compile time;
     // `plan_equivalence.rs` pins the bit-for-bit agreement.
-    let plan = {
+    let pass = {
         let _s = wmx_telemetry::span("embed.plan");
-        global_plan_cache().get_or_compile(binding, fds, config)?
+        UnitPass::new(binding, fds, config, key, watermark)?
     };
-    let table = plan.table();
     let units = {
         let _s = wmx_telemetry::span("embed.select");
-        plan.execute(doc)
+        pass.plan().execute(doc)
     };
-    let marker = UnitMarker::new(key.clone());
-
-    let mut report = EmbedReport {
-        total_units: units.len(),
-        selected_units: 0,
-        marked_units: 0,
-        marked_nodes: 0,
-        queries: Vec::new(),
-    };
-
     let _mark_span = wmx_telemetry::span("embed.mark");
-    for unit in units {
-        // Selection feeds the compact key straight into the PRF — no
-        // unit-id string is built for the ~(γ−1)/γ unselected units.
-        if !marker.is_selected(&unit.key.id(table), config.gamma) {
-            continue;
-        }
-        report.selected_units += 1;
-        // The per-node decision lives in `UnitMarker` (shared with the
-        // streaming engine); this path feeds it the DOM-backed context.
-        let marked_nodes = marker.mark_unit(
-            &mut DomNodesMut::new(doc, &unit.nodes),
-            &unit.key.id(table),
-            unit.mark,
-            watermark,
-        )?;
-        if marked_nodes == 0 {
-            continue; // value could not carry the mark (e.g. empty text)
-        }
-        report.marked_units += 1;
-        report.marked_nodes += marked_nodes;
-        // Only marked units pay for query construction and the textual
-        // unit id (the persisted safeguard format is unchanged).
-        let (query, logical) = unit.query_and_logical(table, binding, fds)?;
-        report.queries.push(StoredQuery {
-            unit_id: unit.key.display(table),
-            xpath: query.to_string(),
-            logical,
-            mark: unit.mark,
-        });
-    }
-    Ok(report)
+    let mut tally = EmbedTally::default();
+    pass.embed(doc, units, 0, &mut tally)?;
+    tally.finalize(&pass)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MarkableAttr;
+    use crate::nodectx::UnitMarker;
     use wmx_rewrite::binding::{AttrBinding, EntityBinding};
     use wmx_xml::parse;
     use wmx_xpath::Query;
@@ -395,12 +366,7 @@ mod tests {
         for sq in &report.queries {
             let q = Query::compile(&sq.xpath).unwrap();
             let nodes = q.select(&d);
-            let votes = marker.extract_unit(
-                &crate::nodectx::DomNodes::new(&d, &nodes),
-                &sq.unit_id,
-                sq.mark,
-                wm.len(),
-            );
+            let votes = marker.extract_unit(&d, &nodes, &sq.unit_id, sq.mark, wm.len());
             assert_eq!(
                 votes.bits,
                 vec![wm.bit(votes.bit_index)],

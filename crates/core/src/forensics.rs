@@ -11,10 +11,11 @@
 //! contradicting vote is direct evidence the unit's value was disturbed
 //! after embedding.
 //!
-//! Both execution engines accumulate the same symbol-native tally map
-//! ([`ForensicTallies`], keyed by [`UnitKey`]) and render it through one
-//! code path ([`ForensicsReport::from_tallies`]), which makes DOM and
-//! stream forensics identical by construction. `UnitKey` display
+//! Both execution engines run the same [`UnitPass`] detect loop, which
+//! accumulates one symbol-native tally map ([`ForensicTallies`], keyed
+//! by [`UnitKey`]), and render it through one code path
+//! ([`ForensicsReport::from_tallies`]), which makes DOM and stream
+//! forensics identical by construction. `UnitKey` display
 //! strings are rendered only at report-build time, never on the
 //! per-unit vote path.
 
@@ -25,9 +26,8 @@ use crate::decoder::{
     collect_query_votes, report_from_votes, BitVotes, DetectionInput, DetectionReport,
 };
 use crate::identifier::{SelectionTable, UnitKey};
-use crate::nodectx::{DomNodes, UnitMarker};
-use crate::plan::global_plan_cache;
 use crate::recovery::{decode_redundant, report_from_redundant_votes, RedundantDecode};
+use crate::unitpass::{DetectTally, UnitPass};
 use crate::wm::Watermark;
 use crate::WmError;
 use wmx_rewrite::SchemaBinding;
@@ -399,39 +399,16 @@ impl ForensicsReport {
     }
 }
 
-/// Runs the enumeration-driven forensic scan over `doc` into `tallies`:
+/// Runs the enumeration-driven forensic scan over `doc` through `pass`:
 /// every unit the plan enumerates is observed — unselected units for
 /// record completeness, selected units with their extracted votes
 /// against the effective watermark.
-pub(crate) fn scan_units(
-    doc: &Document,
-    ctx: ForensicContext<'_>,
-    marker: &UnitMarker,
-    wm_eff: &Watermark,
-    tallies: &mut ForensicTallies,
-) -> Result<(), WmError> {
-    let plan = global_plan_cache().get_or_compile(ctx.binding, ctx.fds, ctx.config)?;
-    let table = plan.table();
-    let wm_len = wm_eff.len();
-    for unit in plan.execute(doc) {
-        if !marker.is_selected(&unit.key.id(table), ctx.config.gamma) {
-            tallies.observe_unselected(&unit.key);
-            continue;
-        }
-        let votes = marker.extract_unit(
-            &DomNodes::new(doc, &unit.nodes),
-            &unit.key.id(table),
-            unit.mark,
-            wm_len,
-        );
-        tallies.observe(
-            &unit.key,
-            votes.bit_index,
-            wm_eff.bit(votes.bit_index),
-            &votes.bits,
-        );
-    }
-    Ok(())
+pub(crate) fn scan_units(doc: &Document, pass: &UnitPass<'_>) -> ForensicTallies {
+    let mut tally = DetectTally::new(pass, true);
+    pass.detect(doc, pass.plan().execute(doc), &mut tally);
+    tally
+        .into_forensics()
+        .expect("the scan keeps forensic tallies")
 }
 
 /// Finalizes an effective-width vote tally plus forensic tallies into a
@@ -495,25 +472,21 @@ pub fn detect_forensic(
     ctx: ForensicContext<'_>,
 ) -> Result<DetectionReport, WmError> {
     let _span = wmx_telemetry::span("detect.forensic");
-    let plan = global_plan_cache().get_or_compile(ctx.binding, ctx.fds, ctx.config)?;
-    let redundancy = ctx.config.redundancy.max(1) as usize;
-    let eff;
-    let wm_eff = if redundancy > 1 {
-        eff = input.watermark.repeat(redundancy);
-        &eff
-    } else {
-        &input.watermark
-    };
-    let (bit_votes, counters) = collect_query_votes(doc, input, wm_eff.len());
-    let marker = UnitMarker::new(input.key.clone());
-    let mut tallies = ForensicTallies::new();
-    scan_units(doc, ctx, &marker, wm_eff, &mut tallies)?;
+    let pass = UnitPass::new(
+        ctx.binding,
+        ctx.fds,
+        ctx.config,
+        &input.key,
+        &input.watermark,
+    )?;
+    let (bit_votes, counters) = collect_query_votes(doc, input, pass.watermark().len());
+    let tallies = scan_units(doc, &pass);
     Ok(finalize_forensic_report(
         bit_votes,
         &input.watermark,
         input.threshold,
         counters,
-        Some((&tallies, plan.table())),
+        Some((&tallies, pass.table())),
     ))
 }
 
@@ -677,16 +650,12 @@ mod tests {
         let (d, _queries, wm, key) = setup(100, 2);
         let b = binding();
         let cfg = config(2);
-        let fctx = ctx(&b, &cfg);
-        let marker = UnitMarker::new(key.clone());
-        let mut whole = ForensicTallies::new();
-        scan_units(&d, fctx, &marker, &wm, &mut whole).unwrap();
+        let pass = UnitPass::new(&b, &[], &cfg, &key, &wm).unwrap();
+        let whole = scan_units(&d, &pass);
         // Scanning the same doc twice then merging halves must equal the
         // doubled single scan (vote counts add; identities dedupe).
-        let mut a = ForensicTallies::new();
-        scan_units(&d, fctx, &marker, &wm, &mut a).unwrap();
-        let mut b2 = ForensicTallies::new();
-        scan_units(&d, fctx, &marker, &wm, &mut b2).unwrap();
+        let mut a = scan_units(&d, &pass);
+        let b2 = scan_units(&d, &pass);
         a.merge(b2);
         assert_eq!(a.len(), whole.len());
     }

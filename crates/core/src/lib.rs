@@ -21,6 +21,11 @@
 //!    compare against the claimed watermark under a threshold τ with a
 //!    sign-test false-positive probability.
 //!
+//! Steps 2 and 3 run through one [unit pass](unitpass): the loop
+//! "select → mark/extract → tally" over the units a compiled
+//! [selection plan](plan) enumerates is written once and shared by the
+//! DOM encoder, the forensic scan, repair and the `wmx-stream` engine.
+//!
 //! [usability] implements the paper's §2.1 metric — the fraction of
 //! query-template results still answered correctly — and [baseline]
 //! implements the semantics-free *value-identified* scheme the paper
@@ -40,6 +45,7 @@ pub mod nodectx;
 pub mod plan;
 pub mod recovery;
 pub mod template;
+pub mod unitpass;
 pub mod usability;
 pub mod wm;
 
@@ -53,12 +59,13 @@ pub use forensics::{
     RecordForensics, UnitForensics, UnitStatus,
 };
 pub use identifier::{enumerate_units, MarkKind, MarkUnit, SelectionTable, UnitKey, UnitTag};
-pub use nodectx::{DomNodes, DomNodesMut, NodeCtx, NodeCtxMut, UnitMarker, UnitVotes};
+pub use nodectx::{UnitMarker, UnitVotes};
 pub use plan::{global_plan_cache, PlanCache, SelectionPlan};
 pub use recovery::{
     decode_redundant, repair_document, report_from_redundant_votes, RedundantDecode, RepairReport,
 };
 pub use template::QueryTemplate;
+pub use unitpass::{DetectTally, EmbedTally, UnitPass};
 pub use usability::{measure_usability, UsabilityReport};
 pub use wm::Watermark;
 

@@ -1,136 +1,29 @@
-//! Engine-agnostic marking: the [`NodeCtx`] seam and the [`UnitMarker`].
+//! The per-unit decision: [`UnitMarker`] marks or reads one unit.
 //!
-//! The per-unit embedding/detection decision — keyed selection, bit
-//! assignment, whitening, value marking through the type plug-ins, order
-//! marking — is independent of *how* the unit's value nodes are stored.
-//! [`NodeCtx`]/[`NodeCtxMut`] abstract that storage: the DOM pipeline
-//! implements them over a full [`Document`] ([`DomNodes`],
-//! [`DomNodesMut`]), and the `wmx-stream` engine implements them over
-//! per-record mini-documents. [`UnitMarker`] holds the keyed PRF and
-//! performs the actual mark/extract against any context, which is what
-//! guarantees bit-for-bit identical output between the two engines.
+//! Keyed selection, bit assignment, whitening, value marking through
+//! the type plug-ins and order marking all happen here, against the
+//! unit's value nodes in a [`Document`]. Every engine calls it through
+//! [`crate::unitpass::UnitPass`], which runs it over the units a plan
+//! enumerates: the DOM pipeline over the whole document, the
+//! `wmx-stream` engine over each record's mini-document. The DOM
+//! decoder's query-driven path also reads the units its identity
+//! queries locate through [`UnitMarker::extract_unit`].
 
 use crate::embed::plugin_for;
 use crate::identifier::MarkKind;
 use crate::wm::Watermark;
 use crate::WmError;
 use wmx_crypto::{Prf, PrfInput, SecretKey};
-use wmx_xml::Document;
+use wmx_xml::{Document, NodeId};
 use wmx_xpath::NodeRef;
 
-/// Read access to the value nodes of one markable unit.
-pub trait NodeCtx {
-    /// Number of value nodes in the unit (≥ 1 for enumerated units).
-    fn node_count(&self) -> usize;
-
-    /// String value of the `i`-th node (`None` when out of range).
-    fn node_value(&self, i: usize) -> Option<String>;
-
-    /// Whether the first two value nodes are reorderable siblings —
-    /// element nodes sharing a parent, so an order mark can be embedded.
-    fn can_reorder(&self) -> bool;
-}
-
-/// Write access to the value nodes of one markable unit.
-pub trait NodeCtxMut: NodeCtx {
-    /// Overwrites the `i`-th node's value.
-    fn write_node_value(&mut self, i: usize, value: &str) -> Result<(), WmError>;
-
-    /// Swaps the first two value nodes in their parent's child order.
-    fn swap_first_two(&mut self) -> Result<(), WmError>;
-}
-
-fn dom_can_reorder(doc: &Document, nodes: &[NodeRef]) -> bool {
+/// The first two value nodes when they are reorderable siblings —
+/// element nodes sharing a parent, so an order mark can be embedded.
+fn order_pair(doc: &Document, nodes: &[NodeRef]) -> Option<(NodeId, NodeId)> {
     let (Some(NodeRef::Node(a)), Some(NodeRef::Node(b))) = (nodes.first(), nodes.get(1)) else {
-        return false; // attribute-valued or missing: order is meaningless
+        return None; // attribute-valued or missing: order is meaningless
     };
-    doc.parent(*a).is_some() && doc.parent(*a) == doc.parent(*b)
-}
-
-/// Read-only DOM-backed unit context (detection side).
-pub struct DomNodes<'a> {
-    doc: &'a Document,
-    nodes: &'a [NodeRef],
-}
-
-impl<'a> DomNodes<'a> {
-    /// Wraps the unit's nodes within `doc`.
-    pub fn new(doc: &'a Document, nodes: &'a [NodeRef]) -> Self {
-        DomNodes { doc, nodes }
-    }
-}
-
-impl NodeCtx for DomNodes<'_> {
-    fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn node_value(&self, i: usize) -> Option<String> {
-        self.nodes.get(i).map(|n| n.string_value(self.doc))
-    }
-
-    fn can_reorder(&self) -> bool {
-        dom_can_reorder(self.doc, self.nodes)
-    }
-}
-
-/// Mutable DOM-backed unit context (embedding side).
-pub struct DomNodesMut<'a> {
-    doc: &'a mut Document,
-    nodes: &'a [NodeRef],
-}
-
-impl<'a> DomNodesMut<'a> {
-    /// Wraps the unit's nodes within `doc`.
-    pub fn new(doc: &'a mut Document, nodes: &'a [NodeRef]) -> Self {
-        DomNodesMut { doc, nodes }
-    }
-}
-
-impl NodeCtx for DomNodesMut<'_> {
-    fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn node_value(&self, i: usize) -> Option<String> {
-        self.nodes.get(i).map(|n| n.string_value(self.doc))
-    }
-
-    fn can_reorder(&self) -> bool {
-        dom_can_reorder(self.doc, self.nodes)
-    }
-}
-
-impl NodeCtxMut for DomNodesMut<'_> {
-    fn write_node_value(&mut self, i: usize, value: &str) -> Result<(), WmError> {
-        let node = self
-            .nodes
-            .get(i)
-            .ok_or_else(|| WmError::new("unit node index out of range"))?;
-        crate::write_value(self.doc, node, value)
-    }
-
-    fn swap_first_two(&mut self) -> Result<(), WmError> {
-        let (Some(NodeRef::Node(a)), Some(NodeRef::Node(b))) =
-            (self.nodes.first(), self.nodes.get(1))
-        else {
-            return Err(WmError::new("order unit nodes are not elements"));
-        };
-        let parent = self
-            .doc
-            .parent(*a)
-            .ok_or_else(|| WmError::new("order unit node lost its parent"))?;
-        let ia = self
-            .doc
-            .child_index(*a)
-            .ok_or_else(|| WmError::new("order unit node lost its parent"))?;
-        let ib = self
-            .doc
-            .child_index(*b)
-            .ok_or_else(|| WmError::new("order unit node lost its parent"))?;
-        self.doc.swap_children(parent, ia, ib);
-        Ok(())
-    }
+    (doc.parent(*a).is_some() && doc.parent(*a) == doc.parent(*b)).then_some((*a, *b))
 }
 
 /// The votes one unit contributes to detection: whitened bit values for
@@ -143,8 +36,7 @@ pub struct UnitVotes {
     pub bits: Vec<bool>,
 }
 
-/// The keyed per-unit mark/extract engine shared by the DOM and
-/// streaming pipelines.
+/// The keyed per-unit mark/extract engine every engine shares.
 pub struct UnitMarker {
     prf: Prf,
 }
@@ -174,12 +66,14 @@ impl UnitMarker {
         watermark.bit(index) ^ self.prf.whiten_bit(unit_id)
     }
 
-    /// Writes the unit's assigned bit into `ctx`. Returns the number of
-    /// nodes rewritten/reordered (0 when the unit cannot carry the bit:
-    /// unmarkable values, equal order values, non-reorderable nodes).
+    /// Writes the unit's assigned bit into its value `nodes` in `doc`.
+    /// Returns the number of nodes rewritten/reordered (0 when the unit
+    /// cannot carry the bit: unmarkable values, equal order values,
+    /// non-reorderable nodes).
     pub fn mark_unit<I: PrfInput + ?Sized>(
         &self,
-        ctx: &mut dyn NodeCtxMut,
+        doc: &mut Document,
+        nodes: &[NodeRef],
         unit_id: &I,
         mark: MarkKind,
         watermark: &Watermark,
@@ -190,11 +84,11 @@ impl UnitMarker {
             MarkKind::Value(data_type) => {
                 let plugin = plugin_for(data_type);
                 let mut marked = 0usize;
-                for i in 0..ctx.node_count() {
-                    let value = ctx.node_value(i).expect("index within node_count");
+                for node in nodes {
+                    let value = node.string_value(doc);
                     if let Some(new_value) = plugin.embed(&value, bit, nonce) {
                         if new_value != value {
-                            ctx.write_node_value(i, &new_value)?;
+                            crate::write_value(doc, node, &new_value)?;
                         }
                         marked += 1;
                     }
@@ -202,29 +96,33 @@ impl UnitMarker {
                 Ok(marked)
             }
             MarkKind::SiblingOrder => {
-                if !ctx.can_reorder() {
+                let Some((a, b)) = order_pair(doc, nodes) else {
                     return Ok(0);
-                }
-                let a = ctx.node_value(0).expect("can_reorder implies two nodes");
-                let b = ctx.node_value(1).expect("can_reorder implies two nodes");
-                if a == b {
+                };
+                let (va, vb) = (doc.text_content(a), doc.text_content(b));
+                if va == vb {
                     return Ok(0); // equal values cannot encode an order
                 }
-                let current_bit = a > b; // descending = 1
-                if current_bit != bit {
-                    ctx.swap_first_two()?;
+                if (va > vb) != bit {
+                    // descending = 1
+                    let parent = doc.parent(a).expect("order_pair checked the parent");
+                    let (Some(ia), Some(ib)) = (doc.child_index(a), doc.child_index(b)) else {
+                        return Err(WmError::new("order unit node lost its parent"));
+                    };
+                    doc.swap_children(parent, ia, ib);
                 }
                 Ok(2)
             }
         }
     }
 
-    /// Extracts the unit's votes from `ctx` (detection side): one
-    /// whitened bit per readable node, under the unit's assigned bit
-    /// index for a watermark of `wm_len` bits.
+    /// Extracts the unit's votes from its value `nodes` in `doc`
+    /// (detection side): one whitened bit per readable node, under the
+    /// unit's assigned bit index for a watermark of `wm_len` bits.
     pub fn extract_unit<I: PrfInput + ?Sized>(
         &self,
-        ctx: &dyn NodeCtx,
+        doc: &Document,
+        nodes: &[NodeRef],
         unit_id: &I,
         mark: MarkKind,
         wm_len: usize,
@@ -236,15 +134,15 @@ impl UnitMarker {
         match mark {
             MarkKind::Value(data_type) => {
                 let plugin = plugin_for(data_type);
-                for i in 0..ctx.node_count() {
-                    let value = ctx.node_value(i).expect("index within node_count");
-                    if let Some(raw) = plugin.extract(&value, nonce) {
+                for node in nodes {
+                    if let Some(raw) = plugin.extract(&node.string_value(doc), nonce) {
                         bits.push(raw ^ whiten);
                     }
                 }
             }
             MarkKind::SiblingOrder => {
-                if let (Some(a), Some(b)) = (ctx.node_value(0), ctx.node_value(1)) {
+                if let [a, b, ..] = nodes {
+                    let (a, b) = (a.string_value(doc), b.string_value(doc));
                     if a != b {
                         bits.push((a > b) ^ whiten);
                     }
@@ -278,7 +176,8 @@ mod tests {
         let m = marker();
         let marked = m
             .mark_unit(
-                &mut DomNodesMut::new(&mut d, &nodes),
+                &mut d,
+                &nodes,
                 "unit-1",
                 MarkKind::Value(DataType::Integer),
                 &wm,
@@ -286,7 +185,8 @@ mod tests {
             .unwrap();
         assert_eq!(marked, 1);
         let votes = m.extract_unit(
-            &DomNodes::new(&d, &nodes),
+            &d,
+            &nodes,
             "unit-1",
             MarkKind::Value(DataType::Integer),
             wm.len(),
@@ -303,22 +203,12 @@ mod tests {
         let wm = Watermark::parse("10").unwrap();
         let m = marker();
         let marked = m
-            .mark_unit(
-                &mut DomNodesMut::new(&mut d, &nodes),
-                "ord-unit",
-                MarkKind::SiblingOrder,
-                &wm,
-            )
+            .mark_unit(&mut d, &nodes, "ord-unit", MarkKind::SiblingOrder, &wm)
             .unwrap();
         assert_eq!(marked, 2);
         // Re-select after the potential swap.
         let nodes = Query::compile("/db/book/a").unwrap().select(&d);
-        let votes = m.extract_unit(
-            &DomNodes::new(&d, &nodes),
-            "ord-unit",
-            MarkKind::SiblingOrder,
-            wm.len(),
-        );
+        let votes = m.extract_unit(&d, &nodes, "ord-unit", MarkKind::SiblingOrder, wm.len());
         assert_eq!(votes.bits, vec![wm.bit(votes.bit_index)]);
     }
 
@@ -330,14 +220,9 @@ mod tests {
         nodes.extend(Query::compile("/db/book/year").unwrap().select(&d));
         let wm = Watermark::parse("1").unwrap();
         let m = marker();
-        assert!(!DomNodes::new(&d, &nodes).can_reorder());
+        assert!(order_pair(&d, &nodes).is_none());
         let marked = m
-            .mark_unit(
-                &mut DomNodesMut::new(&mut d, &nodes),
-                "u",
-                MarkKind::SiblingOrder,
-                &wm,
-            )
+            .mark_unit(&mut d, &nodes, "u", MarkKind::SiblingOrder, &wm)
             .unwrap();
         assert_eq!(marked, 0);
     }
@@ -349,15 +234,10 @@ mod tests {
         let m = marker();
         let wm = Watermark::parse("1").unwrap();
         let marked = m
-            .mark_unit(
-                &mut DomNodesMut::new(&mut d, &nodes),
-                "u",
-                MarkKind::SiblingOrder,
-                &wm,
-            )
+            .mark_unit(&mut d, &nodes, "u", MarkKind::SiblingOrder, &wm)
             .unwrap();
         assert_eq!(marked, 0);
-        let votes = m.extract_unit(&DomNodes::new(&d, &nodes), "u", MarkKind::SiblingOrder, 1);
+        let votes = m.extract_unit(&d, &nodes, "u", MarkKind::SiblingOrder, 1);
         assert!(votes.bits.is_empty());
     }
 }

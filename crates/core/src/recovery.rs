@@ -14,8 +14,7 @@
 
 use crate::decoder::{sign_test_p, BitVotes, DetectionReport, VoteCounters};
 use crate::forensics::ForensicContext;
-use crate::nodectx::{DomNodes, DomNodesMut, UnitMarker};
-use crate::plan::global_plan_cache;
+use crate::unitpass::UnitPass;
 use crate::wm::Watermark;
 use crate::WmError;
 use wmx_crypto::SecretKey;
@@ -151,48 +150,10 @@ pub fn repair_document(
     watermark: &Watermark,
 ) -> Result<RepairReport, WmError> {
     let _span = wmx_telemetry::span("recovery.repair");
-    let plan = global_plan_cache().get_or_compile(ctx.binding, ctx.fds, ctx.config)?;
-    let table = plan.table();
-    let redundancy = ctx.config.redundancy.max(1) as usize;
-    let eff;
-    let wm_eff = if redundancy > 1 {
-        eff = watermark.repeat(redundancy);
-        &eff
-    } else {
-        watermark
-    };
-    let marker = UnitMarker::new(key.clone());
-    let units = plan.execute(doc);
+    let pass = UnitPass::new(ctx.binding, ctx.fds, ctx.config, key, watermark)?;
+    let units = pass.plan().execute(doc);
     let mut report = RepairReport::default();
-    for unit in units {
-        if !marker.is_selected(&unit.key.id(table), ctx.config.gamma) {
-            continue;
-        }
-        let votes = marker.extract_unit(
-            &DomNodes::new(doc, &unit.nodes),
-            &unit.key.id(table),
-            unit.mark,
-            wm_eff.len(),
-        );
-        let expected = wm_eff.bit(votes.bit_index);
-        let clean = !votes.bits.is_empty() && votes.bits.iter().all(|&b| b == expected);
-        if clean {
-            continue;
-        }
-        report.suspect_units += 1;
-        let repaired_nodes = marker.mark_unit(
-            &mut DomNodesMut::new(doc, &unit.nodes),
-            &unit.key.id(table),
-            unit.mark,
-            wm_eff,
-        )?;
-        if repaired_nodes == 0 {
-            report.unrecoverable_units += 1;
-        } else {
-            report.repaired_units += 1;
-            report.repaired_nodes += repaired_nodes;
-        }
-    }
+    pass.repair(doc, units, &mut report)?;
     wmx_telemetry::global()
         .counter("recovery.repaired_nodes")
         .add(report.repaired_nodes as u64);

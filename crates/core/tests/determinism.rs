@@ -6,7 +6,10 @@
 //! decisions. These tests pin that property at the byte level, without
 //! any dataset-generator randomness in the loop.
 
-use wmx_core::{detect, embed, DetectionInput, EncoderConfig, MarkableAttr, Watermark};
+use wmx_core::{
+    detect, embed, global_plan_cache, DetectionInput, EncoderConfig, MarkableAttr, UnitMarker,
+    UnitTag, Watermark,
+};
 use wmx_crypto::SecretKey;
 use wmx_rewrite::{AttrBinding, EntityBinding, SchemaBinding};
 use wmx_schema::Fd;
@@ -165,4 +168,44 @@ fn different_keys_select_different_marks() {
         to_string(&with_b),
         "two distinct keys produced identical marked documents"
     );
+}
+
+/// The persisted query set (the `.wmxq` file) lists the marked units in
+/// the order the selection plan enumerates them on the original
+/// document, FD groups included, and `marked_nodes` counts every value
+/// node of those units.
+#[test]
+fn persisted_queries_follow_plan_order() {
+    let key = SecretKey::from_passphrase("determinism-key");
+    let wm = Watermark::from_message("deterministic mark", 24);
+    let (binding, fds) = (fixture_binding(), fixture_fds());
+    for gamma in [1, 2, 3] {
+        let config = fixture_config(gamma);
+        let original = fixture_doc(80);
+        let plan = global_plan_cache()
+            .get_or_compile(&binding, &fds, &config)
+            .expect("plan compiles");
+        let marker = UnitMarker::new(key.clone());
+        let selected: Vec<_> = plan
+            .execute(&original)
+            .into_iter()
+            .filter(|u| marker.is_selected(&u.key.id(plan.table()), gamma))
+            .collect();
+        assert!(
+            selected.iter().any(|u| u.key.tag == UnitTag::FdGroup),
+            "fixture must select an FD group at gamma {gamma}"
+        );
+
+        let mut marked = original.clone();
+        let report = embed(&mut marked, &binding, &fds, &config, &key, &wm).expect("embed");
+        let expected_ids: Vec<String> = selected
+            .iter()
+            .map(|u| u.key.display(plan.table()))
+            .collect();
+        let ids: Vec<&str> = report.queries.iter().map(|q| q.unit_id.as_str()).collect();
+        assert_eq!(ids, expected_ids, "query order at gamma {gamma}");
+        assert_eq!(report.marked_units, selected.len());
+        let nodes: usize = selected.iter().map(|u| u.nodes.len()).sum();
+        assert_eq!(report.marked_nodes, nodes, "marked nodes at gamma {gamma}");
+    }
 }

@@ -20,15 +20,12 @@
 use crate::engine::{open_tag, RecordEngine};
 use crate::metrics::stream_metrics;
 use crate::reader::{Misc, TopEvent, TopLevelReader};
-use crate::report::{
-    ChunkTiming, PartialDetect, PartialEmbed, StreamDetectReport, StreamEmbedReport, StreamFault,
-    Tally,
-};
+use crate::report::{ChunkTiming, StreamDetectReport, StreamEmbedReport, StreamFault, Tally};
 use crate::{StreamContext, StreamError};
 use std::io::{BufRead, Write};
 use std::sync::mpsc::sync_channel;
 use std::time::Instant;
-use wmx_core::{Watermark, WmError};
+use wmx_core::{DetectTally, EmbedTally, Watermark, WmError};
 use wmx_crypto::SecretKey;
 use wmx_xml::escape::escape_text;
 use wmx_xml::serialize::{cdata_text, comment_text, pi_text};
@@ -185,8 +182,8 @@ fn drive<'a, T: Tally>(
     workers: usize,
     ctx: StreamContext<'a>,
     key: &SecretKey,
-    watermark: &'a Watermark,
-    fresh: impl Fn() -> T + Sync,
+    watermark: &Watermark,
+    fresh: impl Fn(&RecordEngine<'a>) -> T + Sync,
     tolerant: bool,
     emit: &mut Emit<'_>,
 ) -> Result<(RecordEngine<'a>, Fold<T>), StreamError> {
@@ -206,7 +203,7 @@ fn drive<'a, T: Tally>(
         }
     };
     let mut fold = Fold {
-        tally: fresh(),
+        tally: fresh(&engine),
         timings: vec![ChunkTiming::default(); workers],
         ..Fold::default()
     };
@@ -218,7 +215,7 @@ fn drive<'a, T: Tally>(
                 let (to_worker, inbox) = sync_channel(CHANNEL_DEPTH);
                 let (outbox, from_worker) = sync_channel(CHANNEL_DEPTH);
                 let worker = scope.spawn(move || {
-                    let mut tally = fresh();
+                    let mut tally = fresh(engine);
                     // Stops early when the reading thread stops taking.
                     let _ = inbox.iter().try_for_each(|batch| {
                         outbox.send(work(engine, tolerant, &mut tally, batch))
@@ -309,14 +306,17 @@ pub fn embed<R: BufRead, W: Write>(
         ctx,
         key,
         watermark,
-        PartialEmbed::default,
+        |_| EmbedTally::default(),
         false,
         emit,
     )?;
     out.flush()?;
-    let mut report = fold.tally.finalize(|unit| engine.stored_query(unit))?;
-    report.chunk_timings = fold.timings;
-    Ok(report)
+    Ok(StreamEmbedReport {
+        records: fold.tally.records(),
+        peak_resident_nodes: fold.tally.peak_resident_nodes(),
+        report: fold.tally.finalize(engine.pass())?,
+        chunk_timings: fold.timings,
+    })
 }
 
 /// Detects `watermark` in a single pass over `input`, working the
@@ -342,21 +342,26 @@ pub fn detect<R: BufRead>(
     threshold: f64,
     forensics: bool,
 ) -> Result<StreamDetectReport, StreamError> {
-    let width = watermark.len() * ctx.config.redundancy.max(1) as usize;
-    let fresh = || PartialDetect::new(width, forensics);
     let (engine, fold) = drive(
         input,
         workers,
         ctx,
         key,
         watermark,
-        fresh,
+        |engine| DetectTally::new(engine.pass(), forensics),
         forensics,
         &mut |_| Ok(()),
     )?;
-    stream_metrics().votes.add(fold.tally.votes_cast as u64);
-    let mut report = fold.tally.finalize(watermark, threshold, engine.table());
-    report.chunk_timings = fold.timings;
+    let mut report = StreamDetectReport {
+        records: fold.tally.records(),
+        peak_resident_nodes: fold.tally.peak_resident_nodes(),
+        report: fold
+            .tally
+            .finalize(watermark, threshold, engine.pass().table()),
+        chunk_timings: fold.timings,
+        fault: None,
+    };
+    stream_metrics().votes.add(report.report.votes_cast as u64);
     if fold.fault.is_some() || !fold.skipped.is_empty() {
         report.fault = Some(StreamFault {
             records_processed: report.records,

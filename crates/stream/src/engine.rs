@@ -2,34 +2,27 @@
 //!
 //! Each raw record slice is re-parsed into a *mini-document* wrapped in
 //! a copy of the root element (so absolute instance paths like
-//! `/db/book` resolve), the compiled [`SelectionPlan`] from `wmx-core`
-//! runs over it, and every unit goes through the same [`UnitMarker`] the
-//! DOM encoder/decoder uses. Unit identities are key-based — never
-//! positional — so a unit's selection, bit index, nonce, and whitening
-//! are identical whether the unit was found in a 10 GB document or in
-//! its own record: that is what makes streaming output bit-for-bit equal
-//! to DOM output.
+//! `/db/book` resolve), and the [`UnitPass`] from `wmx-core` runs over
+//! it — the same pass the DOM encoder runs over a whole document. Unit
+//! identities are key-based — never positional — so a unit's selection,
+//! bit index, nonce, and whitening are identical whether the unit was
+//! found in a 10 GB document or in its own record: that is what makes
+//! streaming output bit-for-bit equal to DOM output.
 //!
-//! The engine is compiled **once per stream** and shared by every
-//! record (and every worker thread): the plan is fetched from the
+//! The engine is built **once per stream** and shared by every record
+//! (and every worker thread): the pass fetches its plan from the
 //! process-wide [`wmx_core::PlanCache`], so repeated streams over the
 //! same schema reuse one compiled plan, its interned selection
 //! vocabulary lets [`wmx_core::UnitKey`]s from different records/batches
-//! compare and merge directly, record mini-documents are parsed from a
-//! clone of a seeded prototype [`Interner`] (root + binding vocabulary)
-//! so their symbol ids stay stable across the whole stream, and identity
-//! queries are only constructed for units that actually mark — detection
-//! builds none at all. Per-record work does no name lookups and parses
-//! no queries: every access step was resolved at plan compile time.
+//! compare and merge directly, and record mini-documents are parsed
+//! from a clone of a seeded prototype [`Interner`] (root + binding
+//! vocabulary) so their symbol ids stay stable across the whole stream.
+//! Per-record work does no name lookups and parses no queries: every
+//! access step was resolved at plan compile time.
 
-use crate::report::{MarkedQuery, PartialDetect, PartialEmbed};
 use crate::{StreamContext, StreamError};
 use std::fmt::Write as _;
-use std::sync::Arc;
-use wmx_core::{
-    global_plan_cache, DomNodes, DomNodesMut, MarkUnit, SelectionPlan, StoredQuery, UnitMarker,
-    UnitTag, Watermark,
-};
+use wmx_core::{DetectTally, EmbedTally, UnitPass, Watermark};
 use wmx_crypto::SecretKey;
 use wmx_rewrite::binding::AttrBinding;
 use wmx_xml::serialize::node_to_string_into;
@@ -38,19 +31,11 @@ use wmx_xml::{parse, parse_seeded_owned, Document, Interner, ParseOptions};
 
 /// A compiled streaming engine for one document's root + semantics.
 pub(crate) struct RecordEngine<'a> {
-    ctx: StreamContext<'a>,
-    marker: UnitMarker,
-    /// The *effective* watermark: the caller's watermark repeated
-    /// `config.redundancy` times when redundancy mode is on, otherwise a
-    /// plain copy. Every per-record embed/extract indexes into this.
-    watermark: Watermark,
+    /// The unit pass every record goes through, shared across records,
+    /// batches, and worker threads.
+    pass: UnitPass<'a>,
     root_open: String,
     root_close: String,
-    /// Compiled selection plan shared across records, batches, and worker
-    /// threads (and, through the global cache, across streams with the
-    /// same schema). Pre-resolved symbols and pre-compiled access steps
-    /// mean per-record execution never touches an interner or a parser.
-    plan: Arc<SelectionPlan>,
     /// Seeded prototype symbol table cloned into every record
     /// mini-document: record symbols are stable across the stream.
     prototype: Interner,
@@ -90,7 +75,7 @@ impl<'a> RecordEngine<'a> {
     pub fn new(
         ctx: StreamContext<'a>,
         key: &SecretKey,
-        watermark: &'a Watermark,
+        watermark: &Watermark,
         root_name: &str,
         root_attributes: &[TokenAttribute],
     ) -> Result<Self, StreamError> {
@@ -102,9 +87,7 @@ impl<'a> RecordEngine<'a> {
         // Binding/config validation (unbound attributes, markable keys…)
         // happens at plan compile time, before any record is seen, so
         // the same errors the DOM encoder would raise surface here.
-        let plan = global_plan_cache()
-            .get_or_compile(ctx.binding, ctx.fds, ctx.config)
-            .map_err(StreamError::Wm)?;
+        let pass = UnitPass::new(ctx.binding, ctx.fds, ctx.config, key, watermark)?;
         let mut probe_text = String::with_capacity(root_open.len() + root_close.len());
         probe_text.push_str(&root_open);
         probe_text.push_str(&root_close);
@@ -154,27 +137,17 @@ impl<'a> RecordEngine<'a> {
                 }
             }
         }
-        let redundancy = ctx.config.redundancy.max(1) as usize;
-        let watermark = if redundancy > 1 {
-            watermark.repeat(redundancy)
-        } else {
-            watermark.clone()
-        };
         Ok(RecordEngine {
-            ctx,
-            marker: UnitMarker::new(key.clone()),
-            watermark,
+            pass,
             root_open,
             root_close,
-            plan,
             prototype,
         })
     }
 
-    /// The compiled plan's interned selection vocabulary — needed to
-    /// render forensic unit keys at finalize time.
-    pub fn table(&self) -> &wmx_core::SelectionTable {
-        self.plan.table()
+    /// The unit pass the records go through.
+    pub fn pass(&self) -> &UnitPass<'a> {
+        &self.pass
     }
 
     /// Parses one raw record slice into its wrapped mini-document.
@@ -197,61 +170,12 @@ impl<'a> RecordEngine<'a> {
         &self,
         record_raw: &str,
         index: usize,
-        partial: &mut PartialEmbed,
+        tally: &mut EmbedTally,
         out: &mut String,
     ) -> Result<(), StreamError> {
         let mut mini = self.mini_doc(record_raw)?;
-        let units = self.plan.execute(&mini);
-        let table = self.plan.table();
-        for mut unit in units {
-            let is_fd = unit.key.tag == UnitTag::FdGroup;
-            let selected = self
-                .marker
-                .is_selected(&unit.key.id(table), self.ctx.config.gamma);
-            if is_fd {
-                // One map entry per FD group carries total/selected/
-                // marked flags — the key is cloned at most once per
-                // worker instead of once per counter set per record.
-                let flags = partial.fd_entry(&unit.key);
-                flags.selected |= selected;
-            } else {
-                partial.total_local += 1;
-                if selected {
-                    partial.selected_local += 1;
-                }
-            }
-            if !selected {
-                continue;
-            }
-            let marked_nodes = self.marker.mark_unit(
-                &mut DomNodesMut::new(&mut mini, &unit.nodes),
-                &unit.key.id(table),
-                unit.mark,
-                &self.watermark,
-            )?;
-            if marked_nodes == 0 {
-                continue;
-            }
-            partial.marked_nodes += marked_nodes;
-            // Identity queries (and textual unit ids) exist only for
-            // units that actually marked.
-            if is_fd {
-                let flags = partial.fd_entry(&unit.key);
-                if !std::mem::replace(&mut flags.marked, true) {
-                    // FD groups recur across records, so theirs are
-                    // rendered once, at finalize; the node refs die with
-                    // this record.
-                    unit.nodes = Vec::new();
-                    partial.queries.push((index, MarkedQuery::FdGroup(unit)));
-                }
-            } else {
-                partial.marked_local += 1;
-                let stored = self.stored_query(&unit)?;
-                partial.queries.push((index, MarkedQuery::Rendered(stored)));
-            }
-        }
-        partial.records += 1;
-        partial.peak_resident_nodes = partial.peak_resident_nodes.max(mini.arena_len());
+        let units = self.pass.plan().execute(&mini);
+        self.pass.embed(&mut mini, units, index, tally)?;
         let root = mini.root_element().expect("mini doc has a root");
         let record_node = mini
             .child_elements(root)
@@ -261,71 +185,15 @@ impl<'a> RecordEngine<'a> {
         Ok(())
     }
 
-    /// The identity query a marked unit is stored under.
-    pub fn stored_query(&self, unit: &MarkUnit) -> Result<StoredQuery, StreamError> {
-        let table = self.plan.table();
-        let (query, logical) = unit.query_and_logical(table, self.ctx.binding, self.ctx.fds)?;
-        Ok(StoredQuery {
-            unit_id: unit.key.display(table),
-            xpath: query.to_string(),
-            logical,
-            mark: unit.mark,
-        })
-    }
-
     /// Extracts votes from one record.
     pub fn detect_record(
         &self,
         record_raw: &str,
-        partial: &mut PartialDetect,
+        tally: &mut DetectTally,
     ) -> Result<(), StreamError> {
         let mini = self.mini_doc(record_raw)?;
-        let units = self.plan.execute(&mini);
-        let table = self.plan.table();
-        let wm_len = self.watermark.len();
-        for unit in units {
-            if !self
-                .marker
-                .is_selected(&unit.key.id(table), self.ctx.config.gamma)
-            {
-                if let Some(tallies) = partial.forensics.as_mut() {
-                    tallies.observe_unselected(&unit.key);
-                }
-                continue;
-            }
-            let is_fd = unit.key.tag == UnitTag::FdGroup;
-            let votes = self.marker.extract_unit(
-                &DomNodes::new(&mini, &unit.nodes),
-                &unit.key.id(table),
-                unit.mark,
-                wm_len,
-            );
-            if let Some(tallies) = partial.forensics.as_mut() {
-                tallies.observe(
-                    &unit.key,
-                    votes.bit_index,
-                    self.watermark.bit(votes.bit_index),
-                    &votes.bits,
-                );
-            }
-            let located = !votes.bits.is_empty();
-            if is_fd {
-                // Map presence = selected FD unit; the flag = located.
-                let entry = partial.fd_entry(unit.key);
-                *entry |= located;
-            } else {
-                partial.total_local += 1;
-                if located {
-                    partial.located_local += 1;
-                }
-            }
-            for bit in votes.bits {
-                partial.votes_cast += 1;
-                partial.bit_votes[votes.bit_index].add(bit);
-            }
-        }
-        partial.records += 1;
-        partial.peak_resident_nodes = partial.peak_resident_nodes.max(mini.arena_len());
+        self.pass
+            .detect(&mini, self.pass.plan().execute(&mini), tally);
         Ok(())
     }
 }

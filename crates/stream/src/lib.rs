@@ -5,9 +5,12 @@
 //! crate is a second execution engine over the same watermarking
 //! semantics: it pulls tokens from [`wmx_xml::pull::PullParser`], splits
 //! the document at top-level record boundaries (the children of the root
-//! element), materializes **one record at a time** as a mini-document,
-//! runs the shared per-unit decision ([`wmx_core::UnitMarker`] through
-//! the [`wmx_core::NodeCtx`] seam), and emits output incrementally.
+//! element), materializes **one record at a time** as a mini-document
+//! (a plain [`wmx_xml::Document`]), runs the same [`wmx_core::UnitPass`]
+//! over it that the DOM pipeline runs over a whole document, and emits
+//! output incrementally. Records fold into the pass's
+//! [`wmx_core::EmbedTally`]/[`wmx_core::DetectTally`], so stream and DOM
+//! reports come out of one code path.
 //!
 //! # Guarantees
 //!

@@ -1,22 +1,15 @@
-//! Streaming report accumulation and cross-worker merging.
+//! Streaming reports and the per-worker [`Tally`] seam.
 //!
-//! Key-identified and order units are local to one record, so their
-//! counters simply add up. FD-redundancy groups span records (every
-//! member of `editor → publisher` carries the same mark wherever it
-//! lives), so each worker tracks them in a single [`UnitKey`]-keyed flag
-//! map — one entry per group carrying its total/selected/marked (or
-//! located) state — and the merge ORs the flags, reproducing exactly
-//! the whole-document counts the DOM encoder reports. Keys are compact
-//! symbol tuples ([`wmx_core::SelectionTable`] symbols are stable
-//! across workers), so no unit-id strings are built or cloned anywhere
-//! on the merge path.
+//! Each worker folds its records into a [`wmx_core::EmbedTally`] or
+//! [`wmx_core::DetectTally`] — the tallies of the unit pass the DOM
+//! engine runs too — and the driver merges the workers' tallies once
+//! they are done. Counting, FD-group merging and finalizing all live in
+//! `wmx-core`; this module only wraps the result with streaming
+//! telemetry.
 
 use crate::engine::RecordEngine;
 use crate::StreamError;
-use std::collections::{BTreeMap, BTreeSet};
-use wmx_core::{
-    BitVotes, EmbedReport, ForensicTallies, MarkUnit, SelectionTable, StoredQuery, UnitKey,
-};
+use wmx_core::{DetectTally, EmbedReport, EmbedTally};
 
 /// Wall-clock telemetry for one worker, consumed by the `wmx-bench`
 /// telemetry reports. A run emits one entry per worker at every worker
@@ -135,165 +128,6 @@ impl StreamDetectReport {
     }
 }
 
-/// Per-FD-group embed state: one map entry per group replaces the three
-/// id-keyed sets the merge path used to clone unit-id strings into.
-/// Presence in the map means the group was enumerated (total).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct FdEmbedFlags {
-    /// The PRF selected the group.
-    pub selected: bool,
-    /// Some worker wrote the mark into the group.
-    pub marked: bool,
-}
-
-/// A marked unit's identity query.
-#[derive(Debug)]
-pub(crate) enum MarkedQuery {
-    /// A key or order unit's query, rendered where it was marked.
-    Rendered(StoredQuery),
-    /// An FD group. Groups recur across records and workers, so each
-    /// is kept unrendered and rendered once, at finalize.
-    FdGroup(MarkUnit),
-}
-
-/// Per-worker embed accumulator.
-#[derive(Debug, Default)]
-pub(crate) struct PartialEmbed {
-    pub records: usize,
-    pub peak_resident_nodes: usize,
-    pub total_local: usize,
-    pub selected_local: usize,
-    pub marked_local: usize,
-    pub marked_nodes: usize,
-    /// Identity queries of the marked units, each with the stream index
-    /// of its record, in this worker's discovery order.
-    pub queries: Vec<(usize, MarkedQuery)>,
-    pub fd_flags: BTreeMap<UnitKey, FdEmbedFlags>,
-}
-
-impl PartialEmbed {
-    /// The flag entry for an FD group, created on first sight (the only
-    /// point the key is cloned by this worker).
-    pub fn fd_entry(&mut self, key: &UnitKey) -> &mut FdEmbedFlags {
-        if !self.fd_flags.contains_key(key) {
-            self.fd_flags.insert(key.clone(), FdEmbedFlags::default());
-        }
-        self.fd_flags.get_mut(key).expect("inserted above")
-    }
-
-    /// Finalizes the tally: queries in stream order, each FD group once
-    /// (where the stream first marked it), rendered by `render`.
-    pub fn finalize(
-        mut self,
-        render: impl Fn(&MarkUnit) -> Result<StoredQuery, StreamError>,
-    ) -> Result<StreamEmbedReport, StreamError> {
-        // Stable: queries of one record keep their discovery order.
-        self.queries.sort_by_key(|(record, _)| *record);
-        let mut seen_fd = BTreeSet::new();
-        let mut queries = Vec::with_capacity(self.queries.len());
-        for (_, query) in self.queries {
-            match query {
-                MarkedQuery::Rendered(stored) => queries.push(stored),
-                MarkedQuery::FdGroup(unit) if seen_fd.insert(unit.key.clone()) => {
-                    queries.push(render(&unit)?);
-                }
-                MarkedQuery::FdGroup(_) => {} // marked again by another worker
-            }
-        }
-        let fd_selected = self.fd_flags.values().filter(|f| f.selected).count();
-        let fd_marked = self.fd_flags.values().filter(|f| f.marked).count();
-        Ok(StreamEmbedReport {
-            report: EmbedReport {
-                total_units: self.total_local + self.fd_flags.len(),
-                selected_units: self.selected_local + fd_selected,
-                marked_units: self.marked_local + fd_marked,
-                marked_nodes: self.marked_nodes,
-                queries,
-            },
-            records: self.records,
-            peak_resident_nodes: self.peak_resident_nodes,
-            chunk_timings: Vec::new(),
-        })
-    }
-}
-
-/// Per-worker detect accumulator.
-#[derive(Debug, Default)]
-pub(crate) struct PartialDetect {
-    pub records: usize,
-    pub peak_resident_nodes: usize,
-    pub bit_votes: Vec<BitVotes>,
-    pub votes_cast: usize,
-    pub total_local: usize,
-    pub located_local: usize,
-    /// Selected FD groups → whether any worker located votes for them.
-    pub fd_located: BTreeMap<UnitKey, bool>,
-    /// Per-unit forensic tallies, accumulated only when the forensic
-    /// drivers enable them (`None` keeps the default hot path untouched).
-    pub forensics: Option<ForensicTallies>,
-}
-
-impl PartialDetect {
-    /// A fresh accumulator `wm_len` votes wide, with forensic tallies
-    /// when `forensics` is set.
-    pub fn new(wm_len: usize, forensics: bool) -> Self {
-        PartialDetect {
-            bit_votes: vec![BitVotes::default(); wm_len],
-            forensics: forensics.then(ForensicTallies::new),
-            ..PartialDetect::default()
-        }
-    }
-
-    /// The located flag for a selected FD group. Takes the key by value:
-    /// an already-present key is dropped, not cloned.
-    pub fn fd_entry(&mut self, key: UnitKey) -> &mut bool {
-        self.fd_located.entry(key).or_default()
-    }
-
-    fn counters(&self) -> wmx_core::VoteCounters {
-        let fd_located = self.fd_located.values().filter(|l| **l).count();
-        wmx_core::VoteCounters {
-            total_queries: self.total_local + self.fd_located.len(),
-            located_queries: self.located_local + fd_located,
-            unrewritable_queries: 0,
-            votes_cast: self.votes_cast,
-        }
-    }
-
-    /// Finalizes the tally. Forensic tallies are rendered through the
-    /// same [`wmx_core::finalize_forensic_report`] seam the DOM forensic
-    /// decoder uses — DOM and stream forensics agree by construction.
-    pub fn finalize(
-        self,
-        watermark: &wmx_core::Watermark,
-        threshold: f64,
-        table: &SelectionTable,
-    ) -> StreamDetectReport {
-        let counters = self.counters();
-        // The base-width, no-forensics case keeps the original pinned
-        // path; a wider tally means redundancy mode, which needs the
-        // group-majority decode.
-        let report = if self.forensics.is_none() && self.bit_votes.len() == watermark.len() {
-            wmx_core::report_from_votes(self.bit_votes, watermark, threshold, counters)
-        } else {
-            wmx_core::finalize_forensic_report(
-                self.bit_votes,
-                watermark,
-                threshold,
-                counters,
-                self.forensics.as_ref().map(|t| (t, table)),
-            )
-        };
-        StreamDetectReport {
-            report,
-            records: self.records,
-            peak_resident_nodes: self.peak_resident_nodes,
-            chunk_timings: Vec::new(),
-            fault: None,
-        }
-    }
-}
-
 /// A worker's accumulator: what it does with each record, and how the
 /// workers' accumulators fold together.
 pub(crate) trait Tally: Default + Send {
@@ -309,7 +143,7 @@ pub(crate) trait Tally: Default + Send {
     fn merge(&mut self, other: Self);
 }
 
-impl Tally for PartialEmbed {
+impl Tally for EmbedTally {
     /// Embeds the record and writes the marked bytes back into `raw`.
     /// The copy keeps each buffer on the thread that allocated it: the
     /// record's own on the reading thread, the scratch on this one. A
@@ -328,22 +162,11 @@ impl Tally for PartialEmbed {
     }
 
     fn merge(&mut self, other: Self) {
-        self.records += other.records;
-        self.peak_resident_nodes = self.peak_resident_nodes.max(other.peak_resident_nodes);
-        self.total_local += other.total_local;
-        self.selected_local += other.selected_local;
-        self.marked_local += other.marked_local;
-        self.marked_nodes += other.marked_nodes;
-        self.queries.extend(other.queries);
-        for (key, flags) in other.fd_flags {
-            let mine = self.fd_flags.entry(key).or_default();
-            mine.selected |= flags.selected;
-            mine.marked |= flags.marked;
-        }
+        EmbedTally::merge(self, other);
     }
 }
 
-impl Tally for PartialDetect {
+impl Tally for DetectTally {
     fn record(
         &mut self,
         engine: &RecordEngine<'_>,
@@ -354,21 +177,7 @@ impl Tally for PartialDetect {
     }
 
     fn merge(&mut self, other: Self) {
-        self.records += other.records;
-        self.peak_resident_nodes = self.peak_resident_nodes.max(other.peak_resident_nodes);
-        for (mine, theirs) in self.bit_votes.iter_mut().zip(&other.bit_votes) {
-            mine.merge(theirs);
-        }
-        self.votes_cast += other.votes_cast;
-        self.total_local += other.total_local;
-        self.located_local += other.located_local;
-        for (key, located) in other.fd_located {
-            *self.fd_located.entry(key).or_default() |= located;
-        }
-        // Every worker of a run keeps forensic tallies, or none does.
-        if let (Some(mine), Some(theirs)) = (&mut self.forensics, other.forensics) {
-            mine.merge(theirs);
-        }
+        DetectTally::merge(self, other);
     }
 }
 

@@ -195,6 +195,12 @@ pub fn render_trace(events: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Serializes the tests that flip the process-wide trace flag: one
+    /// test turning tracing off while another sits between
+    /// `enable_trace` and its spans would lose that test's events.
+    static TRACE_FLAG: Mutex<()> = Mutex::new(());
 
     #[test]
     fn span_records_into_the_global_histogram() {
@@ -208,6 +214,7 @@ mod tests {
 
     #[test]
     fn trace_captures_nesting_in_order() {
+        let _flag = TRACE_FLAG.lock().unwrap_or_else(|e| e.into_inner());
         enable_trace();
         take_trace(); // discard anything a previous test left behind
         {
@@ -227,6 +234,7 @@ mod tests {
 
     #[test]
     fn tracing_off_buffers_nothing() {
+        let _flag = TRACE_FLAG.lock().unwrap_or_else(|e| e.into_inner());
         disable_trace();
         take_trace();
         {

@@ -1,8 +1,11 @@
 #!/usr/bin/env sh
-# Hot-path allocation guard: the embed/detect loops in wmx-core and the
-# per-record loop in wmx-stream must stay symbol-native. Unit identity
-# is a compact UnitKey fed to the PRF incrementally; textual ids are
-# rendered only by UnitKey::display for marked units; record
+# Hot-path allocation guard: the unit pass in wmx-core (unitpass.rs,
+# the one plan -> select -> mark/extract -> tally loop every engine
+# runs, and the per-unit UnitMarker in nodectx.rs), the DOM
+# encoder/decoder around it and the per-record loop in wmx-stream must
+# stay symbol-native. Unit identity is a compact UnitKey fed to the PRF
+# incrementally; textual ids are rendered only by UnitKey::display for
+# marked units (StoredQuery::for_unit in encoder.rs); record
 # mini-documents and wrapper tags are assembled with push_str into
 # pre-sized buffers, and the streaming driver writes output pieces with
 # write_all. A `format!` creeping back into the non-test region of these
@@ -15,8 +18,9 @@ set -eu
 
 cd "$(dirname "$0")/.."
 status=0
-for f in crates/core/src/encoder.rs crates/core/src/decoder.rs crates/stream/src/engine.rs \
-         crates/stream/src/report.rs crates/stream/src/driver.rs; do
+for f in crates/core/src/unitpass.rs crates/core/src/nodectx.rs crates/core/src/encoder.rs \
+         crates/core/src/decoder.rs crates/stream/src/engine.rs crates/stream/src/report.rs \
+         crates/stream/src/driver.rs; do
     hits=$(awk '/#\[cfg\(test\)\]/{exit} /format!/{print FILENAME ":" FNR ": " $0}' "$f")
     if [ -n "$hits" ]; then
         echo "error: format! on the embed/detect hot path (use UnitKey/display or push_str):" >&2
@@ -26,13 +30,14 @@ for f in crates/core/src/encoder.rs crates/core/src/decoder.rs crates/stream/src
 done
 # The forensic vote path extends the same contract: per-unit tallies
 # are accumulated against the interned UnitKey (ForensicTallies::observe
-# in the decode loops); textual unit ids are rendered exactly once, by
-# ForensicsReport::from_tallies. A `.display(` creeping into the
-# non-test region of the detect-side files would put a per-unit string
-# render on every vote, so it is denied here. forensics.rs hosts the
-# sanctioned render pass and engine.rs's embed path renders ids only
-# for marked units (StoredQuery), so both stay exempt.
-for f in crates/core/src/decoder.rs crates/stream/src/report.rs; do
+# in DetectTally's vote loop in unitpass.rs); textual unit ids are
+# rendered exactly once, by ForensicsReport::from_tallies. A `.display(`
+# creeping into the non-test region of the detect-side files would put
+# a per-unit string render on every vote, so it is denied here.
+# forensics.rs hosts the sanctioned render pass and encoder.rs renders
+# ids only for marked units (StoredQuery::for_unit), so both stay
+# exempt.
+for f in crates/core/src/unitpass.rs crates/core/src/decoder.rs crates/stream/src/report.rs; do
     hits=$(awk '/#\[cfg\(test\)\]/{exit}
         /^[[:space:]]*\/\//{next}
         /\.display\(/{print FILENAME ":" FNR ": " $0}' "$f")
