@@ -25,17 +25,17 @@
 //!   e11 streaming engine: DOM vs single-pass embed/detect (time + resident nodes)
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
 use wmx_attacks::redundancy::UnifyStrategy;
 use wmx_attacks::{
     AlterationAttack, ReductionAttack, RedundancyRemovalAttack, ReorganizationAttack, ShuffleAttack,
 };
 use wmx_bench::table::{pct, yn, Table};
 use wmx_bench::workloads::marked_publications;
+use wmx_bench::{MeasureConfig, Measurement};
 use wmx_core::baseline::{baseline_detect, baseline_embed, BaselineConfig, BaselinePath};
 use wmx_core::{
-    detect, embed, measure_usability, DetectionInput, DetectionReport, EncoderConfig, MarkableAttr,
-    Watermark,
+    detect, embed, global_plan_cache, measure_usability, DetectionInput, DetectionReport,
+    EncoderConfig, MarkableAttr, Watermark,
 };
 use wmx_crypto::SecretKey;
 use wmx_data::{jobs, library, publications};
@@ -247,9 +247,10 @@ fn e1_capacity_and_imperceptibility() {
         });
         // WmXML units over year only (to compare like with like).
         let cfg = EncoderConfig::new(1, vec![MarkableAttr::integer("book", "year", 1)]);
-        let table = wmx_core::SelectionTable::build(&cfg, &[]);
-        let units = wmx_core::enumerate_units(&dataset.doc, &dataset.binding, &[], &cfg, &table)
-            .expect("enumerate")
+        let units = global_plan_cache()
+            .get_or_compile(&dataset.binding, &[], &cfg)
+            .expect("plan compiles")
+            .execute(&dataset.doc)
             .len();
         let mut scratch = dataset.doc.clone();
         let baseline = baseline_embed(
@@ -583,8 +584,12 @@ fn e6_false_positives() {
 // E7 — throughput & scalability
 // ---------------------------------------------------------------------
 fn e7_throughput() {
-    println!("\n[E7] throughput — parse / embed / detect wall-times (single run;");
-    println!("see `cargo bench` for statistically rigorous numbers)\n");
+    let mcfg = MeasureConfig::default();
+    println!(
+        "\n[E7] throughput — parse / embed / detect median wall-times over {} timed runs",
+        mcfg.iters
+    );
+    println!("(embed includes the copy of the original document)\n");
     let mut t = Table::new(&[
         "records",
         "doc KB",
@@ -608,46 +613,45 @@ fn e7_throughput() {
         let text = wmx_xml::to_string(&dataset.doc);
         let kb = text.len() / 1024;
 
-        let start = Instant::now();
-        let parsed = wmx_xml::parse(&text).expect("reparse");
-        let parse_ms = start.elapsed().as_secs_f64() * 1000.0;
-        drop(parsed);
+        let parse = Measurement::run(&mcfg, 0, 0, || {
+            wmx_xml::parse(&text).expect("reparse");
+        });
 
         let key = SecretKey::from_passphrase("e7");
         let wm = Watermark::from_message("e7", 24);
-        let mut marked = dataset.doc.clone();
-        let start = Instant::now();
-        let report = embed(
-            &mut marked,
-            &dataset.binding,
-            &dataset.fds,
-            &dataset.config,
-            &key,
-            &wm,
-        )
-        .expect("embed");
-        let embed_ms = start.elapsed().as_secs_f64() * 1000.0;
+        let mut last = None;
+        let embedding = Measurement::run(&mcfg, 0, 0, || {
+            let mut marked = dataset.doc.clone();
+            let report = embed(
+                &mut marked,
+                &dataset.binding,
+                &dataset.fds,
+                &dataset.config,
+                &key,
+                &wm,
+            )
+            .expect("embed");
+            last = Some((marked, report));
+        });
+        let (marked, report) = last.expect("at least one iteration ran");
 
-        let start = Instant::now();
-        let d = detect(
-            &marked,
-            &DetectionInput {
-                queries: &report.queries,
-                key,
-                watermark: wm,
-                threshold: THRESHOLD,
-                mapping: None,
-            },
-        );
-        let detect_ms = start.elapsed().as_secs_f64() * 1000.0;
-        assert!(d.detected);
+        let input = DetectionInput {
+            queries: &report.queries,
+            key,
+            watermark: wm,
+            threshold: THRESHOLD,
+            mapping: None,
+        };
+        let detection = Measurement::run(&mcfg, 0, 0, || {
+            assert!(detect(&marked, &input).detected);
+        });
 
         t.row(vec![
             records.to_string(),
             kb.to_string(),
-            format!("{parse_ms:.1}"),
-            format!("{embed_ms:.1}"),
-            format!("{detect_ms:.1}"),
+            format!("{:.1}", parse.median_ms()),
+            format!("{:.1}", embedding.median_ms()),
+            format!("{:.1}", detection.median_ms()),
             report.queries.len().to_string(),
         ]);
     }
@@ -887,7 +891,12 @@ fn e10_rounding() {
 fn e11_streaming() {
     println!("\n[E11] streaming engine — DOM vs single-pass (wmx-stream)");
     println!("claim: byte-identical output with O(one record) resident nodes and");
-    println!("parallel record chunking; detection needs no safeguarded query file\n");
+    println!("parallel record chunking; detection needs no safeguarded query file");
+    let mcfg = MeasureConfig::default();
+    println!(
+        "(times: median of {} timed runs; dom embed includes parse and serialize)\n",
+        mcfg.iters
+    );
 
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -913,37 +922,46 @@ fn e11_streaming() {
         let w = wmx_bench::streaming_publications(records, records / 50 + 2, 3, 110);
         let kb = w.input.len() / 1024;
 
-        let start = Instant::now();
-        let mut dom = wmx_xml::parse(&w.input).expect("parse");
+        let mut dom_last = None;
+        let dom_run = Measurement::run(&mcfg, 0, 0, || {
+            let mut dom = wmx_xml::parse(&w.input).expect("parse");
+            let report = embed(
+                &mut dom,
+                &w.dataset.binding,
+                &w.dataset.fds,
+                &w.dataset.config,
+                &w.key,
+                &w.watermark,
+            )
+            .expect("embed");
+            let out = wmx_xml::to_string(&dom);
+            dom_last = Some((dom, report, out));
+        });
+        let (dom, dom_report, dom_out) = dom_last.expect("at least one iteration ran");
         let dom_nodes = dom.arena_len();
-        let dom_report = embed(
-            &mut dom,
-            &w.dataset.binding,
-            &w.dataset.fds,
-            &w.dataset.config,
-            &w.key,
-            &w.watermark,
-        )
-        .expect("embed");
-        let dom_out = wmx_xml::to_string(&dom);
-        let dom_ms = start.elapsed().as_secs_f64() * 1000.0;
 
-        let start = Instant::now();
-        let mut stream_out = Vec::with_capacity(w.input.len());
-        let stream_report = wmx_stream::stream_embed(
-            w.input.as_bytes(),
-            &mut stream_out,
-            w.ctx(),
-            &w.key,
-            &w.watermark,
-        )
-        .expect("stream embed");
-        let stream_ms = start.elapsed().as_secs_f64() * 1000.0;
+        let mut stream_last = None;
+        let stream_run = Measurement::run(&mcfg, 0, 0, || {
+            let mut out = Vec::with_capacity(w.input.len());
+            let report = wmx_stream::stream_embed(
+                w.input.as_bytes(),
+                &mut out,
+                w.ctx(),
+                &w.key,
+                &w.watermark,
+            )
+            .expect("stream embed");
+            stream_last = Some((out, report));
+        });
+        let (stream_out, stream_report) = stream_last.expect("at least one iteration ran");
 
-        let start = Instant::now();
-        let (par_out, _) = wmx_stream::par_embed(&w.input, workers, w.ctx(), &w.key, &w.watermark)
-            .expect("parallel embed");
-        let par_ms = start.elapsed().as_secs_f64() * 1000.0;
+        let mut par_last = None;
+        let par_run = Measurement::run(&mcfg, 0, 0, || {
+            let (out, _) = wmx_stream::par_embed(&w.input, workers, w.ctx(), &w.key, &w.watermark)
+                .expect("parallel embed");
+            par_last = Some(out);
+        });
+        let par_out = par_last.expect("at least one iteration ran");
 
         let bytes_equal = dom_out.as_bytes() == stream_out.as_slice() && dom_out == par_out;
 
@@ -966,9 +984,9 @@ fn e11_streaming() {
         t.row(vec![
             records.to_string(),
             kb.to_string(),
-            format!("{dom_ms:.1}"),
-            format!("{stream_ms:.1}"),
-            format!("{par_ms:.1}"),
+            format!("{:.1}", dom_run.median_ms()),
+            format!("{:.1}", stream_run.median_ms()),
+            format!("{:.1}", par_run.median_ms()),
             dom_nodes.to_string(),
             stream_report.peak_resident_nodes.to_string(),
             yn(bytes_equal),

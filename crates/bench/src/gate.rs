@@ -2,8 +2,7 @@
 //! writes `BENCH_<workload>.json`, and compares it against a checked-in
 //! baseline (`crates/bench/baselines/<workload>.json`).
 //!
-//! Exit-code contract (used by the `gate` binary, the `wmxml bench`
-//! subcommand, and CI):
+//! Exit-code contract (used by the `gate` binary and CI):
 //!
 //! * `0` — every pinned metric is at or above its floor.
 //! * `2` — a throughput metric regressed past its tolerance, a
@@ -968,7 +967,11 @@ pub fn run_gate(opts: &GateOptions) -> Result<GateOutcome, String> {
     }
 
     let baseline = Baseline::load(&baseline_path).map_err(|e| {
-        format!("{e}\nhint: refresh it with `cargo run -p wmx-bench --bin gate -- --smoke --write-baseline`")
+        format!(
+            "{e}\nhint: re-run the {:?} suite with --write-baseline to create {}",
+            opts.params.workload,
+            baseline_path.display()
+        )
     })?;
     if baseline.workload != report.workload {
         return Err(format!(

@@ -1,8 +1,8 @@
-//! Criterion-free measurement runtime for the telemetry reports.
+//! The workspace's one timing runtime: the regression gate and the
+//! `experiments` tables both time through [`Measurement::run`].
 //!
-//! Criterion (and its vendored shim) prints human-oriented summaries;
-//! the regression gate instead needs raw numbers it can serialize and
-//! compare. This module provides warmup/iteration control, wall-clock
+//! It keeps the raw samples so the gate can serialize and compare
+//! them, and provides warmup/iteration control, wall-clock
 //! percentiles, MB/s and records/s throughput derived from the median
 //! iteration, and a peak-RSS probe.
 

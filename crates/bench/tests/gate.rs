@@ -1,8 +1,9 @@
 //! End-to-end tests for the regression gate: report emission, baseline
-//! comparison, and the exit-code contract, on a tiny deterministic
-//! suite so debug-mode CI stays fast.
+//! comparison, the exit-code contract, and the `gate` binary's argument
+//! parsing, on a tiny deterministic suite so debug-mode CI stays fast.
 
 use std::path::PathBuf;
+use std::process::Command;
 use wmx_bench::{
     baseline_from_report, run_gate, run_suite, Baseline, BenchReport, GateOptions, SuiteParams,
 };
@@ -179,4 +180,45 @@ fn checked_in_smoke_baseline_parses_and_matches_the_schema() {
         .collect();
     let pinned: Vec<String> = baseline.metrics.iter().map(|m| m.name.clone()).collect();
     assert_eq!(pinned, expected);
+}
+
+#[test]
+fn missing_baseline_hint_names_the_suite_that_ran() {
+    let dir = scratch_dir("hint");
+    let missing = dir.join("no-such-baseline.json");
+    let opts = GateOptions {
+        params: tiny("hint"),
+        out_dir: dir.clone(),
+        baseline_path: Some(missing.clone()),
+        write_baseline: false,
+        skip_compare: false,
+    };
+    let err = run_gate(&opts).unwrap_err();
+    assert!(err.contains(&missing.display().to_string()), "{err}");
+    assert!(err.contains("\"hint\""), "{err}");
+    assert!(!err.contains("--smoke"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn gate_binary_rejects_unknown_flags_and_answers_help() {
+    let gate = env!("CARGO_BIN_EXE_gate");
+    let out = Command::new(gate)
+        .arg("--frobnicate")
+        .output()
+        .expect("gate runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown argument \"--frobnicate\""),
+        "{stderr}"
+    );
+    assert!(stderr.contains("USAGE: gate"), "{stderr}");
+
+    let out = Command::new(gate)
+        .arg("--help")
+        .output()
+        .expect("gate runs");
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE: gate"));
 }

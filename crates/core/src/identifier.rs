@@ -303,8 +303,14 @@ impl MarkUnit {
 /// Enumerates all markable units of `doc` under `binding`, honouring
 /// `config` (markable attributes, FD-group switch) and `fds`. `table`
 /// must be built from the same `config`/`fds`
-/// ([`SelectionTable::build`]); the streaming engine builds it once and
-/// reuses it for every record.
+/// ([`SelectionTable::build`]).
+///
+/// No engine or binary runs this: they execute the cached
+/// [`SelectionPlan`](crate::SelectionPlan) from
+/// [`global_plan_cache`](crate::global_plan_cache). It is the reference
+/// the `plan_equivalence` and `unitkey_equivalence` suites and
+/// [`SelectionPlan::matches_legacy`](crate::SelectionPlan::matches_legacy)
+/// compare the plan against, and stays public for those suites.
 ///
 /// # Errors
 /// Fails if a markable attribute is an entity key (keys identify units

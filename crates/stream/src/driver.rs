@@ -17,7 +17,7 @@
 //! tallies merge by unit key, and identity queries carry their record
 //! index, so the merged report is that of a sequential pass.
 
-use crate::engine::{open_tag, RecordEngine};
+use crate::engine::RecordEngine;
 use crate::metrics::stream_metrics;
 use crate::reader::{Misc, TopEvent, TopLevelReader};
 use crate::report::{ChunkTiming, StreamDetectReport, StreamEmbedReport, StreamFault, Tally};
@@ -77,8 +77,8 @@ impl Emitter {
             TopEvent::XmlDecl(decl) => put(out, &[b"<?xml ", decl.as_bytes(), b"?>"]),
             TopEvent::Doctype(doctype) => put(out, &[b"<!DOCTYPE ", doctype.as_bytes(), b">"]),
             TopEvent::PrologMisc(misc) => self.prolog.write_all(misc_bytes(misc).as_bytes()),
-            TopEvent::RootStart { name, attributes } => {
-                self.root_open = open_tag(name, attributes);
+            TopEvent::RootStart { name, open_tag } => {
+                self.root_open.clone_from(open_tag);
                 self.root_close = [b"</", name.as_bytes(), b">"].concat();
                 out.write_all(&self.prolog)
             }
@@ -198,8 +198,8 @@ fn drive<'a, T: Tally>(
             StreamError::Unsupported("stream ended before a root element".to_string())
         })?;
         emit(&ev)?;
-        if let TopEvent::RootStart { name, attributes } = &ev {
-            break RecordEngine::new(ctx, key, watermark, name, attributes)?;
+        if let TopEvent::RootStart { name, open_tag } = &ev {
+            break RecordEngine::new(ctx, key, watermark, name, open_tag)?;
         }
     };
     let mut fold = Fold {

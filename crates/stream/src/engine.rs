@@ -26,7 +26,6 @@ use wmx_core::{DetectTally, EmbedTally, UnitPass, Watermark};
 use wmx_crypto::SecretKey;
 use wmx_rewrite::binding::AttrBinding;
 use wmx_xml::serialize::node_to_string_into;
-use wmx_xml::token::TokenAttribute;
 use wmx_xml::{parse, parse_seeded_owned, Document, Interner, ParseOptions};
 
 /// A compiled streaming engine for one document's root + semantics.
@@ -39,20 +38,6 @@ pub(crate) struct RecordEngine<'a> {
     /// Seeded prototype symbol table cloned into every record
     /// mini-document: record symbols are stable across the stream.
     prototype: Interner,
-}
-
-/// Builds the compact open tag `<name a="v" ...>` from the serializer's
-/// own attribute formatting, so streaming/DOM byte parity holds by
-/// construction.
-pub(crate) fn open_tag(name: &str, attributes: &[TokenAttribute]) -> String {
-    let mut out = String::with_capacity(name.len() + 2);
-    out.push('<');
-    out.push_str(name);
-    for attr in attributes {
-        out.push_str(&wmx_xml::serialize::attribute_text(&attr.name, &attr.value));
-    }
-    out.push('>');
-    out
 }
 
 /// Interns the name-shaped fragments of a path text (step and attribute
@@ -77,9 +62,9 @@ impl<'a> RecordEngine<'a> {
         key: &SecretKey,
         watermark: &Watermark,
         root_name: &str,
-        root_attributes: &[TokenAttribute],
+        root_open: &str,
     ) -> Result<Self, StreamError> {
-        let root_open = open_tag(root_name, root_attributes);
+        let root_open = root_open.to_string();
         let mut root_close = String::with_capacity(root_name.len() + 3);
         root_close.push_str("</");
         root_close.push_str(root_name);

@@ -16,7 +16,8 @@
 use crate::StreamError;
 use std::io::BufRead;
 use wmx_xml::pull::{PullParser, Pulled};
-use wmx_xml::token::{Token, TokenAttribute};
+use wmx_xml::serialize::attribute_text;
+use wmx_xml::token::Token;
 use wmx_xml::{XmlError, XmlErrorKind};
 
 /// Non-record content at the document's top levels.
@@ -46,12 +47,14 @@ pub enum TopEvent {
     Doctype(String),
     /// A comment/PI before the root element.
     PrologMisc(Misc),
-    /// The root element opens (attribute values already unescaped).
+    /// The root element opens.
     RootStart {
         /// Root element name.
         name: String,
-        /// Root attributes in document order.
-        attributes: Vec<TokenAttribute>,
+        /// The compact open tag `<name a="v" ...>`, rendered with the
+        /// serializer's attribute formatting so streaming/DOM byte
+        /// parity holds by construction.
+        open_tag: String,
     },
     /// One complete root-child element, as raw input bytes.
     Record(String),
@@ -261,9 +264,18 @@ impl<R: BufRead> TopLevelReader<R> {
                         // Resolve symbols at this boundary: the event
                         // outlives the pull parser's name table.
                         let names = self.pull.interner();
+                        let name = names.resolve(name);
+                        let mut open_tag = String::with_capacity(name.len() + 2);
+                        open_tag.push('<');
+                        open_tag.push_str(name);
+                        for attr in &attributes {
+                            let attr_name = names.resolve(attr.name);
+                            open_tag.push_str(&attribute_text(attr_name, attr.value.as_str()));
+                        }
+                        open_tag.push('>');
                         TopEvent::RootStart {
-                            name: names.resolve(name).to_string(),
-                            attributes: attributes.iter().map(|a| a.resolve(names)).collect(),
+                            name: name.to_string(),
+                            open_tag,
                         }
                     }
                     Token::EndTag { name } => {
@@ -349,10 +361,7 @@ mod tests {
                 TopEvent::PrologMisc(Misc::Comment(" head ".into())),
                 TopEvent::RootStart {
                     name: "db".into(),
-                    attributes: vec![TokenAttribute {
-                        name: "id".into(),
-                        value: "1".into()
-                    }],
+                    open_tag: "<db id=\"1\">".into(),
                 },
                 TopEvent::Record("<book><t>A</t></book>".into()),
                 TopEvent::Misc(Misc::Text("mixed".into())),

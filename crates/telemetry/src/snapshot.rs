@@ -10,7 +10,7 @@
 //! {
 //!   "schema_version": 1,
 //!   "counters": { "core.plan_cache.hits": 12 },
-//!   "gauges": { "stream.peak_resident_nodes": 9 },
+//!   "gauges": {},
 //!   "histograms": {
 //!     "stream.chunk_micros": {
 //!       "count": 4, "sum": 180, "min": 11, "max": 93,
@@ -19,6 +19,10 @@
 //!   }
 //! }
 //! ```
+//!
+//! No workspace code sets a gauge yet, so the `gauges` section of every
+//! snapshot the binaries write is empty; it stays in the schema for
+//! registries that do.
 
 use crate::json::{obj, Json};
 use crate::metrics::{Histogram, BUCKET_BOUNDS_MICROS, BUCKET_COUNT};

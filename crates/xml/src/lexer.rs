@@ -756,10 +756,6 @@ mod tests {
                 assert_eq!(attributes[0].value, "mkp");
                 assert_eq!(names.resolve(attributes[1].name), "year");
                 assert_eq!(attributes[1].value, "1998");
-                // Resolution into the owned compat form.
-                let resolved = attributes[0].resolve(&names);
-                assert_eq!(resolved.name, "publisher");
-                assert_eq!(resolved.value, "mkp");
             }
             other => panic!("unexpected token {other:?}"),
         }

@@ -68,4 +68,4 @@ pub use serialize::{
     write_document_pretty,
 };
 pub use text::XmlText;
-pub use token::{SpannedToken, SymAttribute, Token, TokenAttribute};
+pub use token::{SpannedToken, SymAttribute, Token};

@@ -269,8 +269,8 @@ fn write_prolog<'d, E: Emit<'d>>(doc: &'d Document, out: &mut E, pretty: bool) {
 }
 
 /// The compact form of one attribute, leading space included:
-/// ` name="escaped value"`. Exposed so the streaming engine emits
-/// attributes with exactly the serializer's formatting.
+/// ` name="escaped value"`. Exposed so the streaming reader renders the
+/// root open tag with exactly the serializer's formatting.
 pub fn attribute_text(name: &str, value: &str) -> String {
     let mut out = String::new();
     write_attribute(&mut out, name, value);

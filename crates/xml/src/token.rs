@@ -8,7 +8,7 @@
 //! deterministic in first-occurrence order, so tokenizing the same input
 //! — batched or chunked through the pull parser — yields identical
 //! tokens. Consumers that need owned name strings resolve through the
-//! producing lexer/pull-parser's interner ([`SymAttribute::resolve`]).
+//! producing lexer/pull-parser's interner.
 //!
 //! Text runs, CDATA content, and attribute values are [`XmlText`]:
 //! zero-copy spans into the parse buffer when lexing from an owned
@@ -17,7 +17,7 @@
 //! representation-blind.
 
 use crate::error::Position;
-use crate::intern::{Interner, Sym};
+use crate::intern::Sym;
 use crate::text::XmlText;
 
 /// An attribute as it appears in a start tag: interned name, value
@@ -28,27 +28,6 @@ pub struct SymAttribute {
     pub name: Sym,
     /// Unescaped attribute value.
     pub value: XmlText,
-}
-
-impl SymAttribute {
-    /// Resolves into the owned-name compat form.
-    pub fn resolve(&self, interner: &Interner) -> TokenAttribute {
-        TokenAttribute {
-            name: interner.resolve(self.name).to_string(),
-            value: self.value.as_str().to_string(),
-        }
-    }
-}
-
-/// An attribute with an owned (resolved) name — the compat form used at
-/// API boundaries that outlive the producing interner (e.g. the
-/// streaming reader's root-start event).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TokenAttribute {
-    /// Attribute name.
-    pub name: String,
-    /// Unescaped attribute value.
-    pub value: String,
 }
 
 /// One lexical event in the document stream.
