@@ -288,7 +288,10 @@ fn cmd_embed(args: &Args) -> Result<i32, String> {
         eprintln!("  {}", issues[0]);
     }
 
-    let mut marked = original.clone();
+    let mut marked = {
+        let _s = span("clone");
+        original.clone()
+    };
     let report = embed(
         &mut marked,
         &profile.binding,

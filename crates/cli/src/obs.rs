@@ -45,14 +45,16 @@ pub const COUNTER_CATALOG: [&str; 17] = [
 
 /// Histograms: the streaming chunk latencies plus one `span.<name>`
 /// histogram per phase span the engines emit.
-pub const HISTOGRAM_CATALOG: [&str; 15] = [
+pub const HISTOGRAM_CATALOG: [&str; 17] = [
     "stream.chunk_micros",
     "span.parse",
+    "span.clone",
     "span.serialize",
     "span.embed",
     "span.embed.plan",
     "span.embed.select",
     "span.embed.mark",
+    "span.usability",
     "span.detect",
     "span.detect.resolve",
     "span.detect.select",

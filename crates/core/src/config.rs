@@ -25,25 +25,30 @@ pub enum Tolerance {
 }
 
 impl Tolerance {
-    /// Whether two values are equal within this tolerance.
+    /// Whether two values are equal within this tolerance. Byte-equal
+    /// values match under every tolerance (even `"NaN"` as a decimal).
     pub fn matches(&self, a: &str, b: &str) -> bool {
+        if a == b {
+            return true;
+        }
         match self {
-            Tolerance::Exact => a == b,
+            Tolerance::Exact => false,
             Tolerance::IntegerDelta(delta) => match (parse_i64(a), parse_i64(b)) {
-                (Some(x), Some(y)) => (x - y).abs() <= *delta,
-                _ => a == b,
+                (Some(x), Some(y)) => x.abs_diff(y) <= delta.unsigned_abs(),
+                _ => false,
             },
             Tolerance::DecimalDelta(delta) => match (parse_f64(a), parse_f64(b)) {
                 (Some(x), Some(y)) => (x - y).abs() <= *delta,
-                _ => a == b,
+                _ => false,
             },
-            Tolerance::TextWhitespace => normalize_whitespace(a) == normalize_whitespace(b),
+            // Compares token sequences, so no normalized copy is built.
+            Tolerance::TextWhitespace => a.split_whitespace().eq(b.split_whitespace()),
             Tolerance::ImageLsb => {
                 match (wmx_crypto::base64::decode(a), wmx_crypto::base64::decode(b)) {
                     (Ok(x), Ok(y)) => {
                         x.len() == y.len() && x.iter().zip(&y).all(|(p, q)| (p >> 1) == (q >> 1))
                     }
-                    _ => a == b,
+                    _ => false,
                 }
             }
         }
@@ -56,10 +61,6 @@ fn parse_i64(s: &str) -> Option<i64> {
 
 fn parse_f64(s: &str) -> Option<f64> {
     s.trim().parse().ok()
-}
-
-fn normalize_whitespace(s: &str) -> String {
-    s.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
 /// Declaration of one attribute with watermark capacity: "specify the
@@ -223,10 +224,43 @@ mod tests {
     }
 
     #[test]
+    fn integer_tolerance_near_the_limits() {
+        let t = Tolerance::IntegerDelta(1);
+        // |i64::MAX - (-1)| does not fit an i64; it must not wrap to a match.
+        assert!(!t.matches("9223372036854775807", "-1"));
+        assert!(!t.matches("-9223372036854775808", "9223372036854775807"));
+        assert!(t.matches("9223372036854775807", "9223372036854775806"));
+        assert!(t.matches("-9223372036854775808", "-9223372036854775807"));
+        let wide = Tolerance::IntegerDelta(i64::MAX);
+        assert!(wide.matches("0", "9223372036854775807"));
+        assert!(!wide.matches("-1", "9223372036854775807"));
+        assert!(Tolerance::IntegerDelta(i64::MIN).matches("-9223372036854775808", "0"));
+    }
+
+    #[test]
     fn decimal_tolerance() {
         let t = Tolerance::DecimalDelta(0.05);
         assert!(t.matches("9.99", "10.01"));
         assert!(!t.matches("9.99", "10.10"));
+    }
+
+    #[test]
+    fn byte_equal_values_match_under_every_tolerance() {
+        let tolerances = [
+            Tolerance::Exact,
+            Tolerance::IntegerDelta(0),
+            Tolerance::IntegerDelta(-1),
+            Tolerance::DecimalDelta(0.05),
+            Tolerance::DecimalDelta(f64::NAN),
+            Tolerance::TextWhitespace,
+            Tolerance::ImageLsb,
+        ];
+        for t in &tolerances {
+            for v in ["NaN", "inf", "-inf", "1998", "", " x ", "not base64!"] {
+                assert!(t.matches(v, v), "{t:?} rejects {v:?} against itself");
+            }
+        }
+        assert!(!Tolerance::DecimalDelta(0.05).matches("NaN", "nan "));
     }
 
     #[test]
@@ -235,6 +269,9 @@ mod tests {
         assert!(t.matches("Database  Systems", "Database Systems "));
         assert!(t.matches("a b", " a  b "));
         assert!(!t.matches("a b", "a c"));
+        assert!(!t.matches("a b", "ab"));
+        assert!(!t.matches("a b", "a b c"));
+        assert!(t.matches("\t\n", " "));
     }
 
     #[test]

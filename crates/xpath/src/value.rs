@@ -1,5 +1,6 @@
 //! The XPath 1.0 value model: node-sets, strings, numbers, booleans.
 
+use std::borrow::Cow;
 use wmx_xml::{Document, NodeId};
 
 /// A reference to a node in the XPath data model. Attributes are not
@@ -51,6 +52,31 @@ impl NodeRef {
             }
             NodeRef::Attribute { element, name } => {
                 doc.attribute(*element, name).unwrap_or("") == expected
+            }
+        }
+    }
+
+    /// The XPath string-value, borrowed from the document whenever it is
+    /// one stored piece: a text or CDATA node, an element whose only
+    /// child is one, or an attribute. Other nodes fall back to the owned
+    /// [`Document::text_content`]. Equal to [`NodeRef::string_value`] in
+    /// every case.
+    pub fn string_value_cow<'d>(&self, doc: &'d Document) -> Cow<'d, str> {
+        match self {
+            NodeRef::Node(id) => {
+                if let Some(text) = doc.text(*id) {
+                    return Cow::Borrowed(text);
+                }
+                match doc.children(*id) {
+                    [only] => match doc.text(*only) {
+                        Some(text) => Cow::Borrowed(text),
+                        None => Cow::Owned(doc.text_content(*id)),
+                    },
+                    _ => Cow::Owned(doc.text_content(*id)),
+                }
+            }
+            NodeRef::Attribute { element, name } => {
+                Cow::Borrowed(doc.attribute(*element, name).unwrap_or(""))
             }
         }
     }
@@ -209,6 +235,42 @@ mod tests {
         };
         assert_eq!(attr.string_value(&doc), "1");
         assert_eq!(attr.node_name(&doc), "x");
+    }
+
+    #[test]
+    fn string_value_cow_borrows_single_pieces() {
+        let doc =
+            parse("<a x=\"1\"><b>hi</b><c/><d>x<![CDATA[y]]></d><e><![CDATA[z]]></e><!--n--></a>")
+                .unwrap();
+        let root = doc.root_element().unwrap();
+        let mut nodes: Vec<NodeRef> = doc.descendants(root).map(NodeRef::Node).collect();
+        nodes.push(NodeRef::Attribute {
+            element: root,
+            name: "x".into(),
+        });
+        nodes.push(NodeRef::Attribute {
+            element: root,
+            name: "missing".into(),
+        });
+        nodes.push(NodeRef::Node(doc.document_node()));
+        for node in &nodes {
+            assert_eq!(node.string_value_cow(&doc), node.string_value(&doc));
+        }
+        let named = |name: &str| NodeRef::Node(doc.first_child_element(root, name).unwrap());
+        assert!(matches!(
+            named("b").string_value_cow(&doc),
+            Cow::Borrowed("hi")
+        ));
+        assert!(matches!(
+            named("e").string_value_cow(&doc),
+            Cow::Borrowed("z")
+        ));
+        // Split across text and CDATA: the owned fallback concatenates.
+        assert!(matches!(named("d").string_value_cow(&doc), Cow::Owned(s) if s == "xy"));
+        assert!(matches!(
+            NodeRef::Node(root).string_value_cow(&doc),
+            Cow::Owned(s) if s == "hixyz"
+        ));
     }
 
     #[test]

@@ -53,6 +53,23 @@ if [ -n "$hits" ]; then
     printf '%s\n' "$hits" >&2
     status=1
 fi
+# The usability check reads each document in one pass: one evaluator,
+# each instance's key evaluated once, every template answered in the
+# same loop, values borrowed through NodeRef::string_value_cow. A
+# `string_value(` creeping back into the non-test region of usability.rs
+# would put an owned String on every key and value again, and a
+# `ground_truth(` would bring back one full scan per template, so both
+# are denied here. Comment lines and tests below #[cfg(test)] are
+# exempt.
+hits=$(awk '/#\[cfg\(test\)\]/{exit}
+    /^[[:space:]]*\/\//{next}
+    /string_value\(|ground_truth\(/{print FILENAME ":" FNR ": " $0}' \
+    crates/core/src/usability.rs)
+if [ -n "$hits" ]; then
+    echo "error: owned per-value strings or a per-template scan in the usability check (use the one-pass truth table):" >&2
+    printf '%s\n' "$hits" >&2
+    status=1
+fi
 # The telemetry record path carries the same contract one step further:
 # a Counter::inc/Histogram::record sits inside the per-record loops, so
 # its module must stay entirely lock-free and allocation-free — no
