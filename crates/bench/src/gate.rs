@@ -81,8 +81,11 @@ pub const E3_KEEPS: [f64; 3] = [0.80, 0.40, 0.10];
 /// documents of identical shape, one with no entity references (all
 /// values stay zero-copy spans) and one with references in every value
 /// (all values materialize through unescape) — the pair brackets the
-/// lexer's escape economy.
-pub const THROUGHPUT_NAMES: [&str; 13] = [
+/// lexer's escape economy. `prf` derives the four keyed decisions a
+/// marked unit costs (selection, bit index, whitening, value nonce) for
+/// every unit key, with no plan execution or marking — the PRF layer in
+/// isolation; its `records_per_s` reads as units derived per second.
+pub const THROUGHPUT_NAMES: [&str; 14] = [
     "embed",
     "detect",
     "stream_embed",
@@ -96,6 +99,7 @@ pub const THROUGHPUT_NAMES: [&str; 13] = [
     "query_eval",
     "unit_select",
     "batch_detect",
+    "prf",
 ];
 
 /// Grid-point names in emission order.
@@ -390,7 +394,8 @@ pub fn run_suite_full(p: &SuiteParams) -> (BenchReport, Json) {
         .get_or_compile(&w.dataset.binding, &w.dataset.fds, &w.dataset.config)
         .expect("suite plan compiles");
     let table = plan.table();
-    let unit_count = plan.execute(&w.marked).len() as u64;
+    let all_units = plan.execute(&w.marked);
+    let unit_count = all_units.len() as u64;
     assert!(unit_count > 0, "suite workload has units");
     let marker = wmx_core::UnitMarker::new(w.key.clone());
     let m = Measurement::run(&mcfg, input_bytes, unit_count, || {
@@ -402,6 +407,26 @@ pub fn run_suite_full(p: &SuiteParams) -> (BenchReport, Json) {
         assert!(selected > 0, "selection must pick units at gamma");
     });
     throughput.push(ThroughputStat::from_measurement("unit_select", &m));
+
+    // The keyed PRF in isolation: every decision a marked unit costs
+    // (selection, bit index, whitening, value nonce) over every unit
+    // key of the workload, the plan executed once outside the timing.
+    // records_per_iter is the unit count, so `records_per_s` reads as
+    // units derived per second.
+    let wm_len = w.watermark.len();
+    let m = Measurement::run(&mcfg, input_bytes, unit_count, || {
+        let prf = marker.prf();
+        let mut acc = 0u64;
+        for u in &all_units {
+            let id = u.key.id(table);
+            acc ^= u64::from(prf.is_selected(&id, w.dataset.config.gamma))
+                ^ prf.bit_index(&id, wm_len) as u64
+                ^ u64::from(prf.whiten_bit(&id))
+                ^ prf.value_nonce(&id);
+        }
+        std::hint::black_box(acc);
+    });
+    throughput.push(ThroughputStat::from_measurement("prf", &m));
 
     // Batched identity-query evaluation: the safeguarded query set
     // answered through `batch_select`, which groups queries by family

@@ -79,10 +79,10 @@ impl UnitMarker {
         watermark: &Watermark,
     ) -> Result<usize, WmError> {
         let bit = self.stored_bit(unit_id, watermark);
-        let nonce = self.prf.value_nonce(unit_id);
         match mark {
             MarkKind::Value(data_type) => {
                 let plugin = plugin_for(data_type);
+                let nonce = self.prf.value_nonce(unit_id);
                 let mut marked = 0usize;
                 for node in nodes {
                     let value = node.string_value(doc);
@@ -129,11 +129,11 @@ impl UnitMarker {
     ) -> UnitVotes {
         let bit_index = self.prf.bit_index(unit_id, wm_len);
         let whiten = self.prf.whiten_bit(unit_id);
-        let nonce = self.prf.value_nonce(unit_id);
         let mut bits = Vec::new();
         match mark {
             MarkKind::Value(data_type) => {
                 let plugin = plugin_for(data_type);
+                let nonce = self.prf.value_nonce(unit_id);
                 for node in nodes {
                     if let Some(raw) = plugin.extract(&node.string_value(doc), nonce) {
                         bits.push(raw ^ whiten);

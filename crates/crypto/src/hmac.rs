@@ -1,8 +1,17 @@
 //! HMAC-SHA256 (RFC 2104), verified against the RFC 4231 test vectors.
+//!
+//! A keyed context holds two SHA-256 midstates: the inner hash with the
+//! ipad block absorbed and the outer hash with the opad block absorbed.
+//! Both depend on the key alone, so a caller that MACs many messages
+//! under one key builds the context once and clones it per message
+//! (as [`crate::prf::Prf`] does): each MAC then hashes only its message
+//! plus one outer block, two fewer compressions than keying afresh.
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
-/// Streaming HMAC-SHA256 context.
+/// Streaming HMAC-SHA256 context. Cloning a freshly keyed context
+/// reuses its key schedule; the clone MACs exactly as
+/// `HmacSha256::new(key)` would.
 ///
 /// ```
 /// use wmx_crypto::hmac::HmacSha256;
@@ -16,7 +25,8 @@ use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; BLOCK_LEN],
+    /// The outer hash, opad block already absorbed.
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -40,7 +50,9 @@ impl HmacSha256 {
 
         let mut inner = Sha256::new();
         inner.update(&ipad_key);
-        HmacSha256 { inner, opad_key }
+        let mut outer = Sha256::new();
+        outer.update(&opad_key);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorbs message bytes.
@@ -51,8 +63,7 @@ impl HmacSha256 {
     /// Finishes the MAC computation.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
+        let mut outer = self.outer;
         outer.update(&inner_digest);
         outer.finalize()
     }

@@ -14,6 +14,14 @@
 //! All three are derived from `HMAC(K, domain || unit-id)` with distinct
 //! domain-separation tags, so that e.g. the selection decision and the
 //! bit-index assignment are statistically independent.
+//!
+//! A [`Prf`] keys one [`HmacSha256`] when it is built and clones that
+//! context for every decision, so the two key-only compressions (the
+//! ipad and opad blocks) are paid once per `Prf`, not once per call. A
+//! decision whose domain tag, separator and unit id fit in 55 bytes
+//! costs two SHA-256 compressions, and one more per further 64 bytes.
+//! Build the `Prf` once per run and share it; the outputs are exactly
+//! those of a fresh `HmacSha256::new(key)` per call.
 
 use crate::hmac::HmacSha256;
 use crate::sha256::DIGEST_LEN;
@@ -104,15 +112,27 @@ impl<T: PrfInput + ?Sized> PrfInput for &T {
 }
 
 /// Keyed PRF bound to one secret key.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct Prf {
     key: SecretKey,
+    /// An HMAC context keyed with `key` and fed nothing yet; every MAC
+    /// starts from a clone of it.
+    keyed: HmacSha256,
+}
+
+impl fmt::Debug for Prf {
+    /// Prints the redacted key only: the keyed midstates are as secret
+    /// as the key itself.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Prf").field("key", &self.key).finish()
+    }
 }
 
 impl Prf {
-    /// Creates the PRF for `key`.
+    /// Creates the PRF for `key`, running the HMAC key schedule once.
     pub fn new(key: SecretKey) -> Self {
-        Prf { key }
+        let keyed = HmacSha256::new(key.as_bytes());
+        Prf { key, keyed }
     }
 
     /// The underlying secret key.
@@ -121,7 +141,7 @@ impl Prf {
     }
 
     fn mac<I: PrfInput + ?Sized>(&self, domain: &[u8], unit_id: &I) -> [u8; DIGEST_LEN] {
-        let mut mac = HmacSha256::new(self.key.as_bytes());
+        let mut mac = self.keyed.clone();
         mac.update(domain);
         mac.update(&[0u8]);
         unit_id.feed(&mut mac);
@@ -195,7 +215,7 @@ pub struct PrfStream<'a, I: PrfInput + ?Sized = str> {
 
 impl<I: PrfInput + ?Sized> PrfStream<'_, I> {
     fn refill(&mut self) {
-        let mut mac = HmacSha256::new(self.prf.key.as_bytes());
+        let mut mac = self.prf.keyed.clone();
         mac.update(DOMAIN_STREAM);
         mac.update(&[0u8]);
         self.unit_id.feed(&mut mac);

@@ -96,32 +96,26 @@ impl Sha256 {
     /// Finishes the computation and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-        self.update_padding(0x80);
-        while self.buf_len != 56 {
-            self.update_padding(0x00);
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length,
+        // written straight into the final block. A buffer with fewer
+        // than nine free bytes spills the length into one more block.
+        let len_at = BLOCK_LEN - 8;
+        let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        if self.buf_len >= len_at {
+            block[self.buf_len + 1..].fill(0);
+            self.compress(&block);
+            block = [0u8; BLOCK_LEN];
+        } else {
+            block[self.buf_len + 1..len_at].fill(0);
         }
-        let len_bytes = bit_len.to_be_bytes();
-        for b in len_bytes {
-            self.update_padding(b);
-        }
-        debug_assert_eq!(self.buf_len, 0);
+        block[len_at..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
-    }
-
-    /// Pushes a single padding byte without touching `total_len`.
-    fn update_padding(&mut self, byte: u8) {
-        self.buf[self.buf_len] = byte;
-        self.buf_len += 1;
-        if self.buf_len == BLOCK_LEN {
-            let block = self.buf;
-            self.compress(&block);
-            self.buf_len = 0;
-        }
     }
 
     fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
@@ -233,6 +227,31 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), expect, "split at {split}");
+        }
+    }
+
+    /// Digests of `msg(len)` at every padding case: one block with room
+    /// for the length (0, 55), the length spilling into a second block
+    /// (56, 63), an exact block (64) and the same pair one block later
+    /// (119, 120), cross-checked against Python's `hashlib.sha256`.
+    #[test]
+    fn padding_golden_digests() {
+        let msg = |len: usize| -> Vec<u8> {
+            (0..len)
+                .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
+                .collect()
+        };
+        let digests = [
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "8aa994584139d128848eeebc4e815639ba5ab6e6e39574195a63ac4f14f7c43b",
+            "ad574708f75c044c9b85de64cb568ee7711ff4f36448c6242f053ba8f6cc2b63",
+            "280ed3e8ff1df845b2e7dfe6ac6cee817bef20e783cc65abc41b818b4d2fe076",
+            "c6ab9724ade5b6a7a1edfffb12f3aa9181351355af8fd08c919952ad211339dd",
+            "3d610547d68216dedf7435a4fb6260353911f6b3fd3f18805ddb8be285d726fe",
+            "1f80156a804cb7862ad113e8200e9d74499723e7c7854d5f48776d3148e09656",
+        ];
+        for (len, digest) in [0, 55, 56, 63, 64, 119, 120].into_iter().zip(digests) {
+            assert_eq!(digest_hex(&msg(len)), digest, "len {len}");
         }
     }
 

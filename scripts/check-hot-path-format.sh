@@ -53,6 +53,35 @@ if [ -n "$hits" ]; then
     printf '%s\n' "$hits" >&2
     status=1
 fi
+# The keyed PRF runs the HMAC key schedule once per Prf: Prf::new keys
+# one HmacSha256 and every decision (Prf::mac, PrfStream::refill)
+# clones it. A second `HmacSha256::new(` in the non-test region of
+# prf.rs would key afresh on every call again, two more SHA-256
+# compressions per decision, so only the one in Prf::new is allowed.
+# The unit pass must likewise never build a Prf per unit or record:
+# UnitMarker::new in nodectx.rs is the one constructor, run once per
+# pass, and any other `Prf::new(` in unitpass.rs, nodectx.rs or the
+# streaming engine is denied. Comment lines and tests below
+# #[cfg(test)] are exempt.
+hits=$(awk '/#\[cfg\(test\)\]/{exit}
+    /^[[:space:]]*\/\//{next}
+    /HmacSha256::new\(/{print FILENAME ":" FNR ": " $0}' crates/crypto/src/prf.rs)
+if [ "$(printf '%s' "$hits" | grep -c .)" -gt 1 ]; then
+    echo "error: HMAC re-keyed per call in the PRF (clone the context keyed in Prf::new):" >&2
+    printf '%s\n' "$hits" >&2
+    status=1
+fi
+for f in crates/core/src/unitpass.rs crates/core/src/nodectx.rs crates/stream/src/engine.rs; do
+    hits=$(awk '/#\[cfg\(test\)\]/{exit}
+        /^[[:space:]]*\/\//{next}
+        /UnitMarker \{ prf: Prf::new\(key\) \}/{next}
+        /Prf::new\(/{print FILENAME ":" FNR ": " $0}' "$f")
+    if [ -n "$hits" ]; then
+        echo "error: PRF key state rebuilt on the unit pass (share the UnitMarker's Prf):" >&2
+        printf '%s\n' "$hits" >&2
+        status=1
+    fi
+done
 # The usability check reads each document in one pass: one evaluator,
 # each instance's key evaluated once, every template answered in the
 # same loop, values borrowed through NodeRef::string_value_cow. A
