@@ -14,7 +14,7 @@ use wmx_core::{
 use wmx_crypto::SecretKey;
 use wmx_data::{jobs, library, publications};
 use wmx_telemetry::{span, AuditEvent};
-use wmx_xml::{parse, to_pretty_string};
+use wmx_xml::{parse_owned, to_pretty_string};
 
 /// Runs a parsed command; returns the process exit code.
 pub fn run(args: &Args) -> Result<i32, String> {
@@ -104,7 +104,7 @@ PROFILES: {}",
 fn read_doc(path: &str) -> Result<wmx_xml::Document, String> {
     let _s = span("parse");
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
+    parse_owned(text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
 fn write_file(path: &str, content: &str) -> Result<(), String> {
@@ -205,6 +205,29 @@ fn print_forensics(f: &ForensicsReport, mode: ForensicsMode) {
     if flagged.len() > 10 {
         println!("  … and {} more flagged record(s)", flagged.len() - 10);
     }
+}
+
+/// Prints one human summary line of a detect run: on stdout, or on
+/// stderr under `--forensics json`, whose stdout holds the JSON report
+/// alone.
+fn summary_line(mode: ForensicsMode, line: std::fmt::Arguments<'_>) {
+    if mode == ForensicsMode::Json {
+        eprintln!("{line}");
+    } else {
+        println!("{line}");
+    }
+}
+
+/// Prints the verdict line and returns the detect exit code: 0 =
+/// detected, 2 = not detected, 3 = detected but tampered.
+fn verdict(detected: bool, tampered: bool, threshold: f64, mode: ForensicsMode) -> i32 {
+    let (code, text) = match (detected, tampered) {
+        (true, true) => (3, "WATERMARK DETECTED but TAMPERED"),
+        (true, false) => (0, "WATERMARK DETECTED"),
+        (false, _) => (2, "watermark NOT detected"),
+    };
+    summary_line(mode, format_args!("{text} (τ = {threshold})"));
+    code
 }
 
 /// Appends the forensic tallies to an audit event's `counts`.
@@ -421,29 +444,23 @@ fn cmd_detect(args: &Args) -> Result<i32, String> {
         detected: Some(report.detected),
         p_value: Some(report.p_value),
     })?;
-    println!(
-        "queries located: {}/{}; bits matched {}/{} ({:.1}%); p-value {:.2e}",
-        report.located_queries,
-        report.total_queries,
-        report.matched_bits,
-        report.voted_bits,
-        100.0 * report.match_fraction(),
-        report.p_value
+    summary_line(
+        mode,
+        format_args!(
+            "queries located: {}/{}; bits matched {}/{} ({:.1}%); p-value {:.2e}",
+            report.located_queries,
+            report.total_queries,
+            report.matched_bits,
+            report.voted_bits,
+            100.0 * report.match_fraction(),
+            report.p_value
+        ),
     );
     if let Some(f) = &report.forensics {
         print_forensics(f, mode);
     }
     let tampered = report.forensics.as_ref().is_some_and(|f| f.tampered);
-    if report.detected && tampered {
-        println!("WATERMARK DETECTED but TAMPERED (τ = {threshold})");
-        Ok(3)
-    } else if report.detected {
-        println!("WATERMARK DETECTED (τ = {threshold})");
-        Ok(0)
-    } else {
-        println!("watermark NOT detected (τ = {threshold})");
-        Ok(2)
-    }
+    Ok(verdict(report.detected, tampered, threshold, mode))
 }
 
 fn cmd_stream_embed(args: &Args) -> Result<i32, String> {
@@ -593,36 +610,48 @@ fn cmd_stream_detect(args: &Args) -> Result<i32, String> {
         p_value: Some(report.p_value),
     })?;
     if let Some(summary) = detection.chunk_summary() {
-        println!(
-            "chunks: {} ({} records; {}µs min / {}µs mean / {}µs max)",
-            summary.chunks,
-            summary.records,
-            summary.min_micros,
-            summary.mean_micros(),
-            summary.max_micros
+        summary_line(
+            mode,
+            format_args!(
+                "chunks: {} ({} records; {}µs min / {}µs mean / {}µs max)",
+                summary.chunks,
+                summary.records,
+                summary.min_micros,
+                summary.mean_micros(),
+                summary.max_micros
+            ),
         );
     }
-    println!(
-        "units voted: {}/{} across {} records; bits matched {}/{} ({:.1}%); p-value {:.2e}",
-        report.located_queries,
-        report.total_queries,
-        detection.records,
-        report.matched_bits,
-        report.voted_bits,
-        100.0 * report.match_fraction(),
-        report.p_value
+    summary_line(
+        mode,
+        format_args!(
+            "units voted: {}/{} across {} records; bits matched {}/{} ({:.1}%); p-value {:.2e}",
+            report.located_queries,
+            report.total_queries,
+            detection.records,
+            report.matched_bits,
+            report.voted_bits,
+            100.0 * report.match_fraction(),
+            report.p_value
+        ),
     );
     if let Some(fault) = &detection.fault {
         if fault.truncated {
-            println!(
-                "stream fault: stream broke after {} record(s) ({}); verdict covers the salvaged prefix",
-                fault.records_processed, fault.error
+            summary_line(
+                mode,
+                format_args!(
+                    "stream fault: stream broke after {} record(s) ({}); verdict covers the salvaged prefix",
+                    fault.records_processed, fault.error
+                ),
             );
         } else {
-            println!(
-                "stream fault: {} record(s) skipped ({})",
-                fault.skipped_records.len(),
-                fault.error
+            summary_line(
+                mode,
+                format_args!(
+                    "stream fault: {} record(s) skipped ({})",
+                    fault.skipped_records.len(),
+                    fault.error
+                ),
             );
         }
     }
@@ -633,16 +662,7 @@ fn cmd_stream_detect(args: &Args) -> Result<i32, String> {
     // prefix itself is clean (the rest of the stream is gone).
     let tampered =
         report.forensics.as_ref().is_some_and(|f| f.tampered) || detection.fault.is_some();
-    if report.detected && tampered {
-        println!("WATERMARK DETECTED but TAMPERED (τ = {threshold})");
-        Ok(3)
-    } else if report.detected {
-        println!("WATERMARK DETECTED (τ = {threshold})");
-        Ok(0)
-    } else {
-        println!("watermark NOT detected (τ = {threshold})");
-        Ok(2)
-    }
+    Ok(verdict(report.detected, tampered, threshold, mode))
 }
 
 fn cmd_attack(args: &Args) -> Result<i32, String> {
@@ -1241,7 +1261,7 @@ mod tests {
     /// writes the damaged document to `out` — localized tampering that
     /// leaves the watermark detectable.
     fn bump_years(marked: &str, every: usize, out: &str) {
-        let mut doc = parse(&fs::read_to_string(marked).unwrap()).unwrap();
+        let mut doc = parse_owned(fs::read_to_string(marked).unwrap()).unwrap();
         let years = wmx_xpath::Query::compile("//book/year")
             .unwrap()
             .select(&doc);

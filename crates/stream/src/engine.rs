@@ -12,21 +12,19 @@
 //! The engine is built **once per stream** and shared by every record
 //! (and every worker thread): the pass fetches its plan from the
 //! process-wide [`wmx_core::PlanCache`], so repeated streams over the
-//! same schema reuse one compiled plan, its interned selection
+//! same schema reuse one compiled plan, and its interned selection
 //! vocabulary lets [`wmx_core::UnitKey`]s from different records/batches
-//! compare and merge directly, and record mini-documents are parsed
-//! from a clone of a seeded prototype [`Interner`] (root + binding
-//! vocabulary) so their symbol ids stay stable across the whole stream.
-//! Per-record work does no name lookups and parses no queries: every
-//! access step was resolved at plan compile time.
+//! compare and merge directly. Each mini-document has its own symbol
+//! table; nothing keys on a record's symbol ids across records, since
+//! plan execution resolves the compiled access steps against each
+//! mini-document by name and parses no queries.
 
 use crate::{StreamContext, StreamError};
 use std::fmt::Write as _;
 use wmx_core::{DetectTally, EmbedTally, UnitPass, Watermark};
 use wmx_crypto::SecretKey;
-use wmx_rewrite::binding::AttrBinding;
 use wmx_xml::serialize::node_to_string_into;
-use wmx_xml::{parse, parse_seeded_owned, Document, Interner, ParseOptions};
+use wmx_xml::{parse, parse_owned, Document};
 
 /// A compiled streaming engine for one document's root + semantics.
 pub(crate) struct RecordEngine<'a> {
@@ -35,20 +33,6 @@ pub(crate) struct RecordEngine<'a> {
     pass: UnitPass<'a>,
     root_open: String,
     root_close: String,
-    /// Seeded prototype symbol table cloned into every record
-    /// mini-document: record symbols are stable across the stream.
-    prototype: Interner,
-}
-
-/// Interns the name-shaped fragments of a path text (step and attribute
-/// names) into `proto` — a cheap overapproximation that pre-seeds the
-/// vocabulary records will re-use.
-fn seed_path_names(proto: &mut Interner, path: &str) {
-    for part in path.split(|c: char| !(c.is_alphanumeric() || matches!(c, '_' | '-' | '.'))) {
-        if !part.is_empty() && !part.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-            proto.intern(part);
-        }
-    }
 }
 
 impl<'a> RecordEngine<'a> {
@@ -105,28 +89,10 @@ impl<'a> RecordEngine<'a> {
                 }
             }
         }
-        // Prototype = the probe's symbols (root + root attributes) plus
-        // the binding vocabulary records will mention. Every record's
-        // mini-document starts from a clone, so shared names resolve to
-        // the same symbol id in every record of the stream.
-        let mut prototype = probe.interner().clone();
-        for entity in ctx.binding.entities.values() {
-            seed_path_names(&mut prototype, &entity.instance_path);
-            for attr_binding in entity.attrs.values() {
-                match attr_binding {
-                    AttrBinding::ChildText(name) | AttrBinding::Attribute(name) => {
-                        prototype.intern(name);
-                    }
-                    AttrBinding::Path(path) => seed_path_names(&mut prototype, path),
-                    AttrBinding::SelfText => {}
-                }
-            }
-        }
         Ok(RecordEngine {
             pass,
             root_open,
             root_close,
-            prototype,
         })
     }
 
@@ -145,8 +111,7 @@ impl<'a> RecordEngine<'a> {
         // Handing the buffer to the parser (instead of re-borrowing it)
         // lets the lexer back text/attribute spans with the shared input
         // — record values land in the DOM as zero-copy slices.
-        parse_seeded_owned(text, ParseOptions::default(), self.prototype.clone())
-            .map_err(StreamError::Xml)
+        parse_owned(text).map_err(StreamError::Xml)
     }
 
     /// Embeds into the record with stream index `index`, appending the

@@ -35,9 +35,9 @@
 //!
 //! # Scope
 //!
-//! The streaming engine assumes the default parse conventions
-//! ([`wmx_xml::ParseOptions`]: whitespace-only text skipped, comments
-//! and processing instructions kept) and compact serialization. It
+//! The streaming engine follows the parser's one convention
+//! (whitespace-only text skipped, comments and processing instructions
+//! kept) and compact serialization. It
 //! requires entity instances to live at or below the root's child
 //! elements — an entity bound to the document root itself is rejected
 //! with an error pointing at the DOM engine. Unlike DOM detection it is

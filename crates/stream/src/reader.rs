@@ -240,7 +240,7 @@ impl<R: BufRead> TopLevelReader<R> {
             }
             if let Token::Text { content } = &token {
                 if wmx_xml::scan::is_all_whitespace(content) {
-                    continue; // default ParseOptions drop these
+                    continue; // the DOM parser drops these too
                 }
             }
             let event = match self.state {

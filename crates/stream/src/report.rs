@@ -25,9 +25,9 @@ pub struct ChunkTiming {
     pub micros: u128,
 }
 
-/// Aggregated view of a run's [`ChunkTiming`]s — the user-visible
-/// summary the raw per-chunk vector never had (it was collected but
-/// silently dropped by every consumer until the telemetry layer landed).
+/// Aggregated view of a run's [`ChunkTiming`]s (one per worker): count,
+/// records, and summed/fastest/slowest wall-clock, as the CLI's
+/// `chunks:` line and run audit report them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkSummary {
     /// Chunks timed.

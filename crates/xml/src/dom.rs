@@ -38,18 +38,6 @@ use crate::text::XmlText;
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Global source of symbol-binding generations. Every value is handed
-/// out exactly once, so two documents share a generation only when one
-/// is a clone of the other *and* neither has grown its symbol table
-/// since — exactly the condition under which a cached name→[`Sym`]
-/// resolution is valid for both.
-static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
-
-fn next_generation() -> u64 {
-    NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Index of a node within its [`Document`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -328,10 +316,6 @@ impl NameIndex {
 pub struct Document {
     nodes: Vec<Node>,
     interner: Interner,
-    /// Symbol-binding generation: changes whenever a name→[`Sym`]
-    /// resolution against this document could change (interner growth,
-    /// table installation). See [`Document::generation`].
-    generation: u64,
     /// Lazily built name/order index; dropped on structural mutation.
     index: OnceCell<NameIndex>,
     /// Content of the `<?xml ...?>` declaration, if present.
@@ -345,9 +329,6 @@ impl Clone for Document {
         Document {
             nodes: self.nodes.clone(),
             interner: self.interner.clone(),
-            // The clone's symbol table is identical, so cached
-            // resolutions stay valid for both until either grows.
-            generation: self.generation,
             // The clone rebuilds its index on first use; copying two
             // arena-sized maps for it would be pure waste.
             index: OnceCell::new(),
@@ -373,7 +354,6 @@ impl Document {
                 kind: NodeKind::Document,
             }],
             interner: Interner::new(),
-            generation: next_generation(),
             index: OnceCell::new(),
             xml_decl: None,
             doctype: None,
@@ -440,25 +420,7 @@ impl Document {
 
     /// Interns `name` into this document's symbol table.
     pub fn intern(&mut self, name: &str) -> Sym {
-        let before = self.interner.len();
-        let sym = self.interner.intern(name);
-        if self.interner.len() != before {
-            // A fresh name can turn a cached lookup miss into a hit:
-            // invalidate downstream symbol caches.
-            self.generation = next_generation();
-        }
-        sym
-    }
-
-    /// The document's symbol-binding generation. Two calls return the
-    /// same value iff no name has been interned in between, and a
-    /// cloned document shares its source's generation until either
-    /// grows its table — so `(generation, name)` is a sound cache key
-    /// for `lookup_sym` results held outside the document (compiled
-    /// queries, evaluators). Structural edits do *not* change the
-    /// generation; they cannot change what a name resolves to.
-    pub fn generation(&self) -> u64 {
-        self.generation
+        self.interner.intern(name)
     }
 
     /// The symbol for `name`, if any node of this document ever used it.
@@ -491,7 +453,6 @@ impl Document {
             "install_interner would invalidate existing symbols"
         );
         self.interner = interner;
-        self.generation = next_generation();
     }
 
     /// Resolved name of `attr` (which must belong to this document).
@@ -599,22 +560,6 @@ impl Document {
     /// Returns [`XmlErrorKind::ArenaOverflow`] when the arena is full.
     pub fn create_comment(&mut self, text: impl Into<String>) -> Result<NodeId, XmlError> {
         self.push_node(NodeKind::Comment(text.into()))
-    }
-
-    /// Creates a detached processing-instruction node.
-    ///
-    /// # Errors
-    /// Returns [`XmlErrorKind::ArenaOverflow`] when the arena is full.
-    pub fn create_pi(
-        &mut self,
-        target: impl AsRef<str>,
-        data: impl Into<String>,
-    ) -> Result<NodeId, XmlError> {
-        let target = self.intern(target.as_ref());
-        self.push_node(NodeKind::Pi {
-            target,
-            data: data.into(),
-        })
     }
 
     /// Creates a detached PI from an already-interned target.
@@ -872,18 +817,6 @@ impl Document {
                 Ok(())
             }
             _ => Err(XmlError::dom(XmlErrorKind::NotAnElement)),
-        }
-    }
-
-    /// Removes attribute `name`; returns its previous value if present.
-    pub fn remove_attribute(&mut self, node: NodeId, name: &str) -> Option<String> {
-        let sym = self.interner.lookup(name)?;
-        match &mut self.node_mut(node).kind {
-            NodeKind::Element { attributes, .. } => {
-                let idx = attributes.iter().position(|a| a.name == sym)?;
-                Some(attributes.remove(idx).value.into_string())
-            }
-            _ => None,
         }
     }
 
@@ -1200,30 +1133,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_tracks_symbol_table_growth_only() {
-        let (mut doc, db, book1, _) = sample();
-        let g0 = doc.generation();
-        // Structural edits and value edits keep the generation.
-        doc.swap_children(db, 0, 1);
-        doc.set_attribute(book1, "book", "reuses-existing-name")
-            .unwrap();
-        assert_eq!(doc.generation(), g0);
-        // A new name bumps it.
-        doc.set_attribute(book1, "brand-new-attr", "v").unwrap();
-        let g1 = doc.generation();
-        assert_ne!(g1, g0);
-        // Re-interning the same name does not.
-        doc.set_attribute(book1, "brand-new-attr", "w").unwrap();
-        assert_eq!(doc.generation(), g1);
-        // A clone shares the generation until either side grows.
-        let mut clone = doc.clone();
-        assert_eq!(clone.generation(), g1);
-        clone.create_element("clone-only").unwrap();
-        assert_ne!(clone.generation(), g1);
-        assert_eq!(doc.generation(), g1);
-    }
-
-    #[test]
     fn value_edits_keep_the_name_index() {
         let (mut doc, _, book1, _) = sample();
         // Build the index, then edit values only.
@@ -1251,9 +1160,6 @@ mod tests {
             .map(|a| doc.attr_name(a))
             .collect();
         assert_eq!(names, vec!["publisher", "year"]);
-        assert_eq!(doc.remove_attribute(book1, "year"), Some("1998".into()));
-        assert_eq!(doc.attribute(book1, "year"), None);
-        assert_eq!(doc.remove_attribute(book1, "never-interned"), None);
     }
 
     #[test]

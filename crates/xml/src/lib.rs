@@ -59,13 +59,8 @@ pub use build::ElementBuilder;
 pub use dom::{Attribute, Document, NameIndex, NodeId, NodeKind};
 pub use error::{XmlError, XmlErrorKind};
 pub use intern::{Interner, Sym};
-pub use parser::{
-    parse, parse_owned, parse_seeded, parse_seeded_owned, parse_with_options, ParseOptions,
-};
+pub use parser::{parse, parse_owned};
 pub use pull::{PullParser, Pulled};
-pub use serialize::{
-    node_to_string, to_canonical_string, to_pretty_string, to_string, write_document,
-    write_document_pretty,
-};
+pub use serialize::{node_to_string, to_canonical_string, to_pretty_string, to_string};
 pub use text::XmlText;
 pub use token::{SpannedToken, SymAttribute, Token};

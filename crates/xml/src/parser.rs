@@ -5,31 +5,7 @@ use crate::error::{XmlError, XmlErrorKind};
 use crate::lexer::Lexer;
 use crate::token::{SpannedToken, Token};
 
-/// Options controlling how the tree is built.
-#[derive(Debug, Clone, Copy)]
-pub struct ParseOptions {
-    /// Drop text nodes that consist solely of whitespace (indentation
-    /// between elements). Defaults to `true`, which is what the data-
-    /// centric XML the paper targets wants. Text inside mixed content is
-    /// unaffected unless it is all-whitespace.
-    pub skip_whitespace_text: bool,
-    /// Keep comment nodes. Defaults to `true`.
-    pub keep_comments: bool,
-    /// Keep processing instructions. Defaults to `true`.
-    pub keep_processing_instructions: bool,
-}
-
-impl Default for ParseOptions {
-    fn default() -> Self {
-        ParseOptions {
-            skip_whitespace_text: true,
-            keep_comments: true,
-            keep_processing_instructions: true,
-        }
-    }
-}
-
-/// Parses `input` with default [`ParseOptions`].
+/// Parses `input` into a [`Document`].
 ///
 /// The input is copied once into a shared buffer so escape-free text
 /// runs and attribute values become zero-copy spans. Callers that
@@ -39,65 +15,27 @@ pub fn parse(input: &str) -> Result<Document, XmlError> {
     parse_owned(input.to_string())
 }
 
-/// Parses an owned input buffer with default [`ParseOptions`] — the
-/// zero-copy entry point: the buffer becomes the document's shared text
-/// backing, and escape-free text/CDATA/attribute runs are stored as
-/// spans into it without copying.
+/// Parses an owned input buffer — the zero-copy entry point: the buffer
+/// becomes the document's shared text backing, and escape-free
+/// text/CDATA/attribute runs are stored as spans into it without
+/// copying. Names are interned once at lex time; the finished document
+/// takes over the lexer's symbol table, so tree construction never
+/// re-hashes a name.
 pub fn parse_owned(input: String) -> Result<Document, XmlError> {
-    parse_seeded_owned(
-        input,
-        ParseOptions::default(),
-        crate::intern::Interner::new(),
-    )
-}
-
-/// Parses `input` with explicit options.
-///
-/// Names are interned once at lex time; the finished document takes over
-/// the lexer's symbol table, so tree construction never re-hashes a
-/// name.
-pub fn parse_with_options(input: &str, options: ParseOptions) -> Result<Document, XmlError> {
-    parse_seeded(input, options, crate::intern::Interner::new())
-}
-
-/// Parses `input` starting from a pre-populated symbol table.
-///
-/// Every name already in `seed` keeps its symbol id in the resulting
-/// document; new names extend the table in first-occurrence order. Two
-/// documents parsed from clones of the same seed therefore agree on the
-/// symbol ids of all seeded names (and of any further names they
-/// introduce in the same order) — the property the `wmx-stream` engine
-/// uses to keep record mini-document symbols stable across a whole
-/// stream, so per-record work keyed by [`crate::Sym`] carries over from
-/// record to record.
-pub fn parse_seeded(
-    input: &str,
-    options: ParseOptions,
-    seed: crate::intern::Interner,
-) -> Result<Document, XmlError> {
-    parse_seeded_owned(input.to_string(), options, seed)
-}
-
-/// [`parse_seeded`] over an owned buffer — the streaming engine's
-/// per-record path: the assembled mini-document string is consumed
-/// directly as the shared text backing, so record values reach the DOM
-/// without a per-value copy.
-pub fn parse_seeded_owned(
-    input: String,
-    options: ParseOptions,
-    seed: crate::intern::Interner,
-) -> Result<Document, XmlError> {
     let buf = std::sync::Arc::new(input);
     let mut lexer = Lexer::from_shared(&buf);
-    lexer.set_interner(seed);
-    let result = build_tree(&mut lexer, options);
+    let result = build_tree(&mut lexer);
     let (zero_copy, materialized) = lexer.span_stats();
     crate::lexer::record_span_stats(zero_copy, materialized);
     result
 }
 
-/// Drives the lexer to completion, building the tree.
-fn build_tree(lexer: &mut Lexer<'_>, options: ParseOptions) -> Result<Document, XmlError> {
+/// Drives the lexer to completion, building the tree. Whitespace-only
+/// text is dropped (indentation between elements carries no information
+/// in the data-centric XML the paper targets; text inside mixed content
+/// is kept unless it is all whitespace); comments and processing
+/// instructions are kept.
+fn build_tree(lexer: &mut Lexer<'_>) -> Result<Document, XmlError> {
     let mut doc = Document::new();
     // Data-centric XML runs well under one node per 32 input bytes
     // (`<a>x</a>` is two nodes in nine bytes; real tags are longer), so
@@ -181,7 +119,7 @@ fn build_tree(lexer: &mut Lexer<'_>, options: ParseOptions) -> Result<Document, 
                         position.column,
                     ));
                 }
-                if all_whitespace && options.skip_whitespace_text {
+                if all_whitespace {
                     continue;
                 }
                 // Merge with a preceding text node (split by references or
@@ -213,20 +151,16 @@ fn build_tree(lexer: &mut Lexer<'_>, options: ParseOptions) -> Result<Document, 
                 doc.attach_new_child(parent, t);
             }
             Token::Comment { content } => {
-                if options.keep_comments {
-                    let c = doc.create_comment(content)?;
-                    doc.attach_new_child(parent, c);
-                }
+                let c = doc.create_comment(content)?;
+                doc.attach_new_child(parent, c);
             }
             Token::ProcessingInstruction { target, data } => {
-                if options.keep_processing_instructions {
-                    // PI targets travel as plain strings in tokens (they
-                    // are rare); intern into the table the document will
-                    // take over below.
-                    let sym = lexer.interner_mut().intern(&target);
-                    let p = doc.create_pi_raw(sym, data)?;
-                    doc.attach_new_child(parent, p);
-                }
+                // PI targets travel as plain strings in tokens (they are
+                // rare); intern into the table the document will take
+                // over below.
+                let sym = lexer.interner_mut().intern(&target);
+                let p = doc.create_pi_raw(sym, data)?;
+                doc.attach_new_child(parent, p);
             }
         }
     }
@@ -290,17 +224,6 @@ mod tests {
         let trimmed = parse(input).unwrap();
         let a = trimmed.root_element().unwrap();
         assert_eq!(trimmed.children(a).len(), 1);
-
-        let kept = parse_with_options(
-            input,
-            ParseOptions {
-                skip_whitespace_text: false,
-                ..ParseOptions::default()
-            },
-        )
-        .unwrap();
-        let a = kept.root_element().unwrap();
-        assert_eq!(kept.children(a).len(), 3);
     }
 
     #[test]
@@ -344,18 +267,6 @@ mod tests {
         let kept = parse(input).unwrap();
         let a = kept.root_element().unwrap();
         assert_eq!(kept.children(a).len(), 3);
-
-        let dropped = parse_with_options(
-            input,
-            ParseOptions {
-                keep_comments: false,
-                keep_processing_instructions: false,
-                ..ParseOptions::default()
-            },
-        )
-        .unwrap();
-        let a = dropped.root_element().unwrap();
-        assert_eq!(dropped.children(a).len(), 1);
     }
 
     #[test]
@@ -419,27 +330,6 @@ mod tests {
         let doc = parse(&input).unwrap();
         assert_eq!(doc.element_count(), depth);
         assert_eq!(doc.text_content(doc.root_element().unwrap()), "leaf");
-    }
-
-    #[test]
-    fn seeded_parse_keeps_prototype_symbol_ids() {
-        let mut seed = crate::intern::Interner::new();
-        let db = seed.intern("db");
-        let book = seed.intern("book");
-        let title = seed.intern("title");
-        for input in [
-            "<db><book><title>A</title></book></db>",
-            // Different document shape, same vocabulary: ids must agree.
-            "<db><book><extra/><title>B</title></book></db>",
-        ] {
-            let doc = parse_seeded(input, ParseOptions::default(), seed.clone()).unwrap();
-            assert_eq!(doc.lookup_sym("db"), Some(db));
-            assert_eq!(doc.lookup_sym("book"), Some(book));
-            assert_eq!(doc.lookup_sym("title"), Some(title));
-        }
-        // Unseeded names extend past the seed.
-        let doc = parse_seeded("<db><new/></db>", ParseOptions::default(), seed.clone()).unwrap();
-        assert!(doc.lookup_sym("new").unwrap().index() >= seed.len());
     }
 
     #[test]

@@ -143,18 +143,6 @@ impl PullParser {
         &self.interner
     }
 
-    /// Creates a parser over a complete input (pushed and finished).
-    /// Offsets reported by [`PullParser::stream_offset`] then index
-    /// directly into `input`, and [`PullParser::raw_range`] can recover
-    /// any span (one-shot parsers never compact).
-    pub fn from_complete(input: &str) -> Self {
-        let mut pull = PullParser::new();
-        pull.hold = Some(0); // retain everything: offsets stay stable
-        pull.buf.push_str(input);
-        pull.finish();
-        pull
-    }
-
     /// Appends the next input chunk. Chunks may split tokens anywhere —
     /// only UTF-8 character boundaries must be respected (which `&str`
     /// guarantees by construction).
@@ -447,7 +435,10 @@ mod tests {
     #[test]
     fn stream_offsets_and_raw_range() {
         let input = "<db><book>x</book></db>";
-        let mut pull = PullParser::from_complete(input);
+        let mut pull = PullParser::new();
+        pull.hold_from(0); // retain everything: offsets index `input`
+        pull.push_str(input);
+        pull.finish();
         pull.next().unwrap(); // <db>
         let start = pull.stream_offset();
         assert_eq!(start, 4);
@@ -505,7 +496,9 @@ mod tests {
 
     #[test]
     fn end_is_sticky() {
-        let mut pull = PullParser::from_complete("<a/>");
+        let mut pull = PullParser::new();
+        pull.push_str("<a/>");
+        pull.finish();
         assert!(matches!(pull.next().unwrap(), Pulled::Token(_)));
         assert_eq!(pull.next().unwrap(), Pulled::End);
         assert_eq!(pull.next().unwrap(), Pulled::End);

@@ -118,19 +118,6 @@ pub fn memchr3(n1: u8, n2: u8, n3: u8, hay: &[u8]) -> Option<usize> {
         .map(|p| base + p)
 }
 
-/// Counts occurrences of `needle` in `hay` — SWAR popcount over the
-/// exact zero-byte mask, one `count_ones` per word.
-#[inline]
-pub fn count_byte(needle: u8, hay: &[u8]) -> usize {
-    let n = broadcast(needle);
-    let mut chunks = hay.chunks_exact(W);
-    let mut count = 0usize;
-    for chunk in &mut chunks {
-        count += zero_byte_mask(load(chunk) ^ n).count_ones() as usize;
-    }
-    count + chunks.remainder().iter().filter(|&&b| b == needle).count()
-}
-
 /// Counts the UTF-8 scalar values in `bytes` (which must be valid
 /// UTF-8): total bytes minus continuation bytes, the latter counted by
 /// a SWAR test for the `10xxxxxx` bit pattern.
@@ -315,15 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn count_byte_exact_after_first_match() {
-        // Counting must stay exact past the first zero lane.
-        let hay = b"\n\nabc\ndef\n\n";
-        assert_eq!(count_byte(b'\n', hay), 5);
-        assert_eq!(count_byte(b'\n', b""), 0);
-        assert_eq!(count_byte(b'x', b"xxxxxxxxxxxxxxxxx"), 17);
-    }
-
-    #[test]
     fn char_count_multibyte() {
         for s in ["", "abc", "München", "中文字", "a\u{10348}b", "é"] {
             assert_eq!(char_count(s.as_bytes()), s.chars().count(), "{s:?}");
@@ -381,11 +359,6 @@ mod tests {
                 memchr3(a, b, c, &hay),
                 hay.iter().position(|&x| x == a || x == b || x == c)
             );
-        }
-
-        #[test]
-        fn count_byte_equals_filter(hay in arb_bytes(), needle in any::<u8>()) {
-            prop_assert_eq!(count_byte(needle, &hay), hay.iter().filter(|&&b| b == needle).count());
         }
 
         #[test]

@@ -6,18 +6,14 @@
 //! of the watermarking experiments. It is *not* W3C C14N — it is the
 //! comparison form used by tests and the usability metric.
 //!
-//! All serializers walk the tree once through a small [`Emit`] sink
-//! abstraction. The `String` sink appends in place (no per-node
-//! allocation: markup punctuation is emitted as static literals, names
-//! and clean text borrow straight from the document, and escaping only
-//! allocates when a special character is actually present). The segment
-//! sink collects borrowed/owned spans and hands them to
-//! [`write_document`] for vectored `writev`-style output.
+//! All serializers share one tree walk that appends to a `String` in
+//! place: no per-node allocation, since markup punctuation is pushed as
+//! static literals, names and clean text are copied straight from the
+//! document, and escaping only allocates when a special character is
+//! actually present.
 
 use crate::dom::{Document, NodeId, NodeKind};
 use crate::escape::{escape_attribute, escape_text};
-use std::borrow::Cow;
-use std::io;
 
 /// Serializes the document compactly (no added whitespace).
 pub fn to_string(doc: &Document) -> String {
@@ -74,196 +70,21 @@ pub fn to_canonical_string(doc: &Document) -> String {
     out
 }
 
-/// Writes the compact serialization of `doc` to `writer` using vectored
-/// I/O: the tree is walked once into a list of borrowed spans (names,
-/// clean text, static punctuation all point into the document or into
-/// the binary's rodata) and flushed in [`io::IoSlice`] batches, so large
-/// documents reach the writer without first being concatenated into one
-/// contiguous allocation.
-pub fn write_document<W: io::Write>(doc: &Document, writer: &mut W) -> io::Result<()> {
-    let mut segs = Segments {
-        segs: Vec::with_capacity(128),
-    };
-    write_prolog(doc, &mut segs, false);
-    for &child in doc.children(doc.document_node()) {
-        write_node(doc, child, &mut segs, WriteMode::Compact, 0);
-    }
-    write_segments(writer, &segs.segs)
-}
-
-/// Vectored twin of [`to_pretty_string`]: identical bytes, streamed to
-/// `writer` in [`io::IoSlice`] batches.
-pub fn write_document_pretty<W: io::Write>(doc: &Document, writer: &mut W) -> io::Result<()> {
-    let mut segs = Segments {
-        segs: Vec::with_capacity(128),
-    };
-    write_prolog(doc, &mut segs, true);
-    for &child in doc.children(doc.document_node()) {
-        write_node(doc, child, &mut segs, WriteMode::Pretty, 0);
-        segs.lit("\n");
-    }
-    write_segments(writer, &segs.segs)
-}
-
-/// How many segments go into one `write_vectored` call. Linux caps a
-/// single `writev` at 1024 iovecs; staying well under that keeps the
-/// batch array small while still amortizing the syscall.
-const VECTOR_BATCH: usize = 64;
-
-/// Flushes `segs` to `writer` via `write_vectored`, hand-rolling the
-/// partial-write advance (`write_all_vectored` is not stable): after a
-/// short write the cursor moves `n` bytes forward across segment
-/// boundaries and the next batch resumes mid-segment.
-fn write_segments<W: io::Write>(writer: &mut W, segs: &[Cow<'_, str>]) -> io::Result<()> {
-    let mut batch: Vec<io::IoSlice<'_>> = Vec::with_capacity(VECTOR_BATCH);
-    let mut idx = 0; // first segment not fully written
-    let mut skip = 0; // bytes of segs[idx] already written
-    while idx < segs.len() {
-        if segs[idx].len() <= skip {
-            idx += 1;
-            skip = 0;
-            continue;
-        }
-        batch.clear();
-        for seg in &segs[idx..] {
-            if batch.len() == VECTOR_BATCH {
-                break;
-            }
-            let bytes = seg.as_bytes();
-            let bytes = if batch.is_empty() {
-                &bytes[skip..]
-            } else {
-                bytes
-            };
-            if !bytes.is_empty() {
-                batch.push(io::IoSlice::new(bytes));
-            }
-        }
-        let mut n = match writer.write_vectored(&batch) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "failed to write whole document",
-                ))
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        while n > 0 && idx < segs.len() {
-            let remaining = segs[idx].len() - skip;
-            if n >= remaining {
-                n -= remaining;
-                idx += 1;
-                skip = 0;
-            } else {
-                skip += n;
-                n = 0;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// A small stack of reusable `String` output buffers. The sequential
-/// stream driver serializes one record at a time; recycling the buffer
-/// through the pool keeps its capacity warm instead of re-growing a
-/// fresh allocation per record.
-#[derive(Default)]
-pub struct BufferPool {
-    free: Vec<String>,
-}
-
-/// Upper bound on pooled buffers; beyond this, released buffers are
-/// simply dropped so a burst of users can't pin memory forever.
-const POOL_CAP: usize = 8;
-
-impl BufferPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Hands out a cleared buffer, reusing a pooled allocation when one
-    /// is available.
-    pub fn acquire(&mut self) -> String {
-        match self.free.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf
-            }
-            None => String::new(),
-        }
-    }
-
-    /// Returns a buffer to the pool for reuse (dropped if the pool is
-    /// already at capacity).
-    pub fn release(&mut self, buf: String) {
-        if self.free.len() < POOL_CAP {
-            self.free.push(buf);
-        }
-    }
-}
-
-/// Output sink for the single tree walk shared by every serializer.
-///
-/// `lit` takes markup punctuation (static, borrowed forever), `text`
-/// takes spans that borrow from the document, and `cow` takes escaping
-/// results that borrow when the input had no specials. The `String`
-/// implementation appends immediately; [`Segments`] defers the copy to
-/// the vectored writer.
-trait Emit<'d> {
-    fn lit(&mut self, s: &'static str);
-    fn text(&mut self, s: &'d str);
-    fn cow(&mut self, s: Cow<'d, str>);
-}
-
-impl<'d> Emit<'d> for String {
-    fn lit(&mut self, s: &'static str) {
-        self.push_str(s);
-    }
-    fn text(&mut self, s: &'d str) {
-        self.push_str(s);
-    }
-    fn cow(&mut self, s: Cow<'d, str>) {
-        self.push_str(&s);
-    }
-}
-
-/// Segment collector for [`write_document`]: the document is rendered as
-/// a sequence of borrowed/owned spans instead of one concatenated
-/// buffer.
-struct Segments<'d> {
-    segs: Vec<Cow<'d, str>>,
-}
-
-impl<'d> Emit<'d> for Segments<'d> {
-    fn lit(&mut self, s: &'static str) {
-        self.segs.push(Cow::Borrowed(s));
-    }
-    fn text(&mut self, s: &'d str) {
-        self.segs.push(Cow::Borrowed(s));
-    }
-    fn cow(&mut self, s: Cow<'d, str>) {
-        self.segs.push(s);
-    }
-}
-
-fn write_prolog<'d, E: Emit<'d>>(doc: &'d Document, out: &mut E, pretty: bool) {
+fn write_prolog(doc: &Document, out: &mut String, pretty: bool) {
     if let Some(decl) = &doc.xml_decl {
-        out.lit("<?xml ");
-        out.text(decl);
-        out.lit("?>");
+        out.push_str("<?xml ");
+        out.push_str(decl);
+        out.push_str("?>");
         if pretty {
-            out.lit("\n");
+            out.push('\n');
         }
     }
     if let Some(doctype) = &doc.doctype {
-        out.lit("<!DOCTYPE ");
-        out.text(doctype);
-        out.lit(">");
+        out.push_str("<!DOCTYPE ");
+        out.push_str(doctype);
+        out.push('>');
         if pretty {
-            out.lit("\n");
+            out.push('\n');
         }
     }
 }
@@ -277,14 +98,14 @@ pub fn attribute_text(name: &str, value: &str) -> String {
     out
 }
 
-/// Writes one attribute (leading space included) straight into the
-/// sink. The escaped value borrows when it contains no specials.
-fn write_attribute<'d, E: Emit<'d>>(out: &mut E, name: &'d str, value: &'d str) {
-    out.lit(" ");
-    out.text(name);
-    out.lit("=\"");
-    out.cow(escape_attribute(value));
-    out.lit("\"");
+/// Appends one attribute (leading space included) to `out`. The escaped
+/// value borrows when it contains no specials.
+fn write_attribute(out: &mut String, name: &str, value: &str) {
+    out.push(' ');
+    out.push_str(name);
+    out.push_str("=\"");
+    out.push_str(&escape_attribute(value));
+    out.push('"');
 }
 
 /// The compact form of a comment: `<!--content-->`.
@@ -326,13 +147,7 @@ enum WriteMode {
     Canonical,
 }
 
-fn write_node<'d, E: Emit<'d>>(
-    doc: &'d Document,
-    node: NodeId,
-    out: &mut E,
-    mode: WriteMode,
-    depth: usize,
-) {
+fn write_node(doc: &Document, node: NodeId, out: &mut String, mode: WriteMode, depth: usize) {
     match doc.kind(node) {
         NodeKind::Document => {
             for &child in doc.children(node) {
@@ -344,8 +159,8 @@ fn write_node<'d, E: Emit<'d>>(
             if mode == WriteMode::Pretty && depth > 0 {
                 indent(out, depth);
             }
-            out.lit("<");
-            out.text(name);
+            out.push('<');
+            out.push_str(name);
             if mode == WriteMode::Canonical {
                 let mut sorted: Vec<_> = attributes.iter().collect();
                 sorted.sort_by(|a, b| doc.attr_name(a).cmp(doc.attr_name(b)));
@@ -361,9 +176,9 @@ fn write_node<'d, E: Emit<'d>>(
             // Empty text nodes serialize to nothing; treating them as
             // invisible keeps `<a></a>` and `<a/>` interchangeable. The
             // canonical comparison form additionally drops text nodes
-            // that are *all* whitespace: the default parse convention
-            // (`skip_whitespace_text`) treats them as non-information, so
-            // canonical(doc) must equal canonical(parse(serialize(doc))).
+            // that are *all* whitespace: the parser drops them as
+            // non-information, so canonical(doc) must equal
+            // canonical(parse(serialize(doc))).
             let visible = |c: NodeId| match (mode, doc.kind(c)) {
                 (WriteMode::Canonical, NodeKind::Text(t) | NodeKind::CData(t)) => {
                     !crate::scan::is_all_whitespace(t)
@@ -374,10 +189,10 @@ fn write_node<'d, E: Emit<'d>>(
                 _ => true,
             };
             if !children.iter().any(|&c| visible(c)) {
-                out.lit("/>");
+                out.push_str("/>");
                 return;
             }
-            out.lit(">");
+            out.push('>');
             let element_only = children.iter().copied().filter(|&c| visible(c)).all(|c| {
                 matches!(
                     doc.kind(c),
@@ -385,10 +200,10 @@ fn write_node<'d, E: Emit<'d>>(
                 )
             });
             if mode == WriteMode::Pretty && element_only {
-                out.lit("\n");
+                out.push('\n');
                 for &child in children.iter().filter(|&&c| visible(c)) {
                     write_node(doc, child, out, mode, depth + 1);
-                    out.lit("\n");
+                    out.push('\n');
                 }
                 indent(out, depth);
             } else {
@@ -396,54 +211,53 @@ fn write_node<'d, E: Emit<'d>>(
                     write_node(doc, child, out, mode, depth + 1);
                 }
             }
-            out.lit("</");
-            out.text(name);
-            out.lit(">");
+            out.push_str("</");
+            out.push_str(name);
+            out.push('>');
         }
         NodeKind::Text(text) => {
-            out.cow(escape_text(text));
+            out.push_str(&escape_text(text));
         }
         NodeKind::CData(text) => {
             if mode == WriteMode::Canonical {
-                out.cow(escape_text(text));
+                out.push_str(&escape_text(text));
             } else {
-                out.lit("<![CDATA[");
-                out.text(text);
-                out.lit("]]>");
+                out.push_str("<![CDATA[");
+                out.push_str(text);
+                out.push_str("]]>");
             }
         }
         NodeKind::Comment(text) => {
             if mode == WriteMode::Pretty && depth > 0 {
                 indent(out, depth);
             }
-            out.lit("<!--");
-            out.text(text);
-            out.lit("-->");
+            out.push_str("<!--");
+            out.push_str(text);
+            out.push_str("-->");
         }
         NodeKind::Pi { target, data } => {
             if mode == WriteMode::Pretty && depth > 0 {
                 indent(out, depth);
             }
             let target = doc.resolve(*target);
-            out.lit("<?");
-            out.text(target);
+            out.push_str("<?");
+            out.push_str(target);
             if !data.is_empty() {
-                out.lit(" ");
-                out.text(data);
+                out.push(' ');
+                out.push_str(data);
             }
-            out.lit("?>");
+            out.push_str("?>");
         }
     }
 }
 
-/// Two spaces per depth level, emitted as static slices so the segment
-/// sink never allocates for indentation.
-fn indent<'d, E: Emit<'d>>(out: &mut E, depth: usize) {
+/// Two spaces per depth level, appended from a static slice.
+fn indent(out: &mut String, depth: usize) {
     const PAD: &str = "                                "; // 16 levels
     let mut n = depth * 2;
     while n > 0 {
         let take = n.min(PAD.len());
-        out.lit(&PAD[..take]);
+        out.push_str(&PAD[..take]);
         n -= take;
     }
 }
@@ -543,74 +357,6 @@ mod tests {
         assert!(buf.capacity() >= cap);
     }
 
-    #[test]
-    fn write_document_matches_to_string() {
-        let input = "<?xml version=\"1.0\"?><db><book publisher=\"mkp\"><title>R &amp; D</title><!--n--><![CDATA[x<y]]></book><?pi data?></db>";
-        let doc = parse(input).unwrap();
-        let mut out = Vec::new();
-        write_document(&doc, &mut out).unwrap();
-        assert_eq!(String::from_utf8(out).unwrap(), to_string(&doc));
-    }
-
-    #[test]
-    fn write_document_pretty_matches_to_pretty_string() {
-        let doc = parse("<db><book><title>T</title><year>1998</year></book><note/></db>").unwrap();
-        let mut out = Vec::new();
-        write_document_pretty(&doc, &mut out).unwrap();
-        assert_eq!(String::from_utf8(out).unwrap(), to_pretty_string(&doc));
-    }
-
-    /// Writer that accepts at most `cap` bytes per call and only ever
-    /// consumes from the first buffer of a vectored batch, exercising
-    /// the partial-write advance in `write_segments`.
-    struct Trickle {
-        out: Vec<u8>,
-        cap: usize,
-    }
-
-    impl io::Write for Trickle {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            let n = buf.len().min(self.cap);
-            self.out.extend_from_slice(&buf[..n]);
-            Ok(n)
-        }
-        fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
-            match bufs.iter().find(|b| !b.is_empty()) {
-                Some(first) => self.write(first),
-                None => Ok(0),
-            }
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn write_document_survives_partial_writes() {
-        let input = "<db><book publisher=\"mkp\"><title>R &amp; D</title></book><book/></db>";
-        let doc = parse(input).unwrap();
-        for cap in [1, 2, 3, 7] {
-            let mut w = Trickle {
-                out: Vec::new(),
-                cap,
-            };
-            write_document(&doc, &mut w).unwrap();
-            assert_eq!(String::from_utf8(w.out).unwrap(), to_string(&doc));
-        }
-    }
-
-    #[test]
-    fn buffer_pool_recycles_capacity() {
-        let mut pool = BufferPool::new();
-        let mut buf = pool.acquire();
-        buf.push_str("0123456789abcdef");
-        let cap = buf.capacity();
-        pool.release(buf);
-        let recycled = pool.acquire();
-        assert!(recycled.is_empty());
-        assert!(recycled.capacity() >= cap);
-    }
-
     /// Strategy producing small random documents as strings via a random
     /// tree we then serialize, to test parse∘serialize = id on the DOM.
     fn arb_tree(depth: u32) -> BoxedStrategy<String> {
@@ -653,14 +399,6 @@ mod tests {
             let twice = to_string(&doc2);
             prop_assert_eq!(once, twice);
             prop_assert_eq!(to_canonical_string(&doc), to_canonical_string(&doc2));
-        }
-
-        #[test]
-        fn write_document_matches_to_string_prop(tree in arb_tree(3)) {
-            let doc = parse(&tree).unwrap();
-            let mut out = Vec::new();
-            write_document(&doc, &mut out).unwrap();
-            prop_assert_eq!(String::from_utf8(out).unwrap(), to_string(&doc));
         }
     }
 }

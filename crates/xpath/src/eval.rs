@@ -46,11 +46,9 @@ type SymMemo = HashMap<Box<str>, Option<Sym>, BuildHasherDefault<NameHasher>>;
 /// evaluated once per candidate resolves `title` against the document's
 /// symbol table once instead of once per candidate. The memo is sound
 /// because the evaluator holds the document borrowed for its whole
-/// lifetime (no mutation can change a binding) — the captured
-/// [`Document::generation`] is asserted in debug builds as a guard.
+/// lifetime, so no mutation can change a binding.
 pub struct Evaluator<'d> {
     doc: &'d Document,
-    generation: u64,
     sym_memo: RefCell<SymMemo>,
     /// Recycled per-step candidate buffers: path evaluation allocates
     /// one `Vec<NodeRef>` per step, and the detection hot path runs
@@ -93,7 +91,6 @@ impl<'d> Evaluator<'d> {
     pub fn new(doc: &'d Document) -> Self {
         Evaluator {
             doc,
-            generation: doc.generation(),
             sym_memo: RefCell::new(SymMemo::default()),
             scratch: RefCell::new(Vec::new()),
         }
@@ -120,11 +117,6 @@ impl<'d> Evaluator<'d> {
 
     /// Memoized name→symbol resolution (see the type docs).
     fn sym_of(&self, name: &str) -> Option<Sym> {
-        debug_assert_eq!(
-            self.doc.generation(),
-            self.generation,
-            "document symbol table changed under a live evaluator"
-        );
         if let Some(&cached) = self.sym_memo.borrow().get(name) {
             return cached;
         }

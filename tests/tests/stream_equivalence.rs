@@ -328,6 +328,15 @@ fn adversarial_documents_stream_identically() {
         "<db><book lang=\"中文\"><title>Ünïcode – √</title><year>2003</year>\
          <note>naïve &#65;Z</note></book></db>"
             .into(),
+        // Names outside the binding vocabulary, first met in a different
+        // order per record: each record's symbol table numbers them
+        // differently, and output and votes must not depend on that.
+        "<db><book z=\"1\"><q/><year>2004</year><title>s1</title><note>v</note>\
+         <author>Lu</author><author>Al</author></book>\
+         <book><title>s2</title><r a=\"2\"/><year>2005</year><note>w</note><q z=\"3\"/>\
+         <author>Mo</author><author>Di</author></book>\
+         <book a=\"4\"><r/><q/><note>x</note><title>s3</title><year>2006</year></book></db>"
+            .into(),
     ];
     for input in cases {
         let mut dom = parse(&input).unwrap_or_else(|e| panic!("parse {input:?}: {e}"));
